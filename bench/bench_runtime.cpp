@@ -2,7 +2,7 @@
 //
 // Builds trained-shaped TempoNet / ResTCN instances, compiles them with
 // src/runtime, verifies output parity, then times Module::forward (eval
-// mode, NoGradGuard) against CompiledNet::forward across batch sizes and
+// mode, NoGradGuard) against CompiledPlan::forward across batch sizes and
 // thread counts. Emits BENCH_runtime.json next to the binary's cwd.
 //
 //   ./bench_runtime [--quick]
@@ -73,7 +73,8 @@ float max_abs_diff(const Tensor& a, const Tensor& b) {
 struct BenchCase {
   std::string name;
   std::unique_ptr<nn::Module> module;
-  std::unique_ptr<runtime::CompiledNet> compiled;
+  std::shared_ptr<const runtime::CompiledPlan> compiled;
+  runtime::ExecutionContext ctx;
   index_t input_channels = 0;
   index_t input_steps = 0;
 };
@@ -93,8 +94,7 @@ BenchCase make_temponet_case(const std::string& name, double channel_scale,
   model->eval();
   BenchCase c;
   c.name = name;
-  c.compiled =
-      std::make_unique<runtime::CompiledNet>(runtime::compile(*model));
+  c.compiled = runtime::compile_plan(*model);
   c.module = std::move(model);
   c.input_channels = cfg.input_channels;
   c.input_steps = input_length;
@@ -112,8 +112,7 @@ BenchCase make_restcn_case(const std::string& name, index_t hidden,
   model->eval();
   BenchCase c;
   c.name = name;
-  c.compiled = std::make_unique<runtime::CompiledNet>(
-      runtime::compile(*model, input_steps));
+  c.compiled = runtime::compile_plan(*model, input_steps);
   c.module = std::move(model);
   c.input_channels = cfg.input_channels;
   c.input_steps = input_steps;
@@ -170,7 +169,7 @@ int main(int argc, char** argv) {
                                rng);
       NoGradGuard guard;
       const float diff =
-          max_abs_diff(c.compiled->forward(x), c.module->forward(x));
+          max_abs_diff(c.compiled->forward(x, c.ctx), c.module->forward(x));
       if (diff > 1e-3F) {
         std::fprintf(stderr, "%s: compiled/module mismatch %.2e\n",
                      c.name.c_str(), static_cast<double>(diff));
@@ -193,7 +192,8 @@ int main(int argc, char** argv) {
               c.module->forward(x);
             },
             reps);
-        row.compiled_ms = time_min_ms([&] { c.compiled->forward(x); }, reps);
+        row.compiled_ms =
+            time_min_ms([&] { c.compiled->forward(x, c.ctx); }, reps);
         std::printf("%-16s %5lld %7d %11.3f %12.3f %7.2fx\n",
                     row.model.c_str(), static_cast<long long>(row.batch),
                     row.threads, row.module_ms, row.compiled_ms,

@@ -64,11 +64,12 @@ int main() {
   model.forward(Tensor::randn(Shape{8, 4, 64}, rng));
   model.eval();
 
-  runtime::CompiledNet net = runtime::compile(model);
-  std::printf("%s\n", net.summary().c_str());
+  const auto plan = runtime::compile_plan(model);
+  runtime::ExecutionContext ctx;  // per-thread arena; the plan is shared
+  std::printf("%s\n", plan->summary().c_str());
 
   Tensor x = Tensor::randn(Shape{32, 4, 64}, rng);
-  Tensor compiled_out = net.forward(x);
+  Tensor compiled_out = plan->forward(x, ctx);
   Tensor module_out;
   {
     NoGradGuard guard;
@@ -92,7 +93,8 @@ int main() {
         model.forward(x);
       },
       10);
-  const double compiled_ms = time_forward_ms([&] { net.forward(x); }, 10);
+  const double compiled_ms =
+      time_forward_ms([&] { plan->forward(x, ctx); }, 10);
   std::printf("module graph: %.3f ms   compiled plan: %.3f ms   (%.2fx)\n",
               module_ms, compiled_ms,
               compiled_ms > 0.0 ? module_ms / compiled_ms : 0.0);

@@ -194,11 +194,11 @@ def check_serve_lock_order(root, violations):
 
 # (file, function signature fragment, required marker)
 ENTRY_POINTS = [
-    ("src/runtime/executor_fp32.cpp", "CompiledPlan::forward_fp32",
+    # The batched and step executors are templates over the element type:
+    # one guarded definition covers the fp32 and the u8 program.
+    ("src/runtime/executor_batched.cpp", "Tensor CompiledPlan::run_batched",
      "PIT_CHECK"),
-    ("src/runtime/executor_i8.cpp", "CompiledPlan::forward_quantized",
-     "PIT_CHECK"),
-    ("src/runtime/executor_stream.cpp", "CompiledPlan::bind_stream",
+    ("src/runtime/executor_step.cpp", "void CompiledPlan::run_step",
      "PIT_CHECK"),
     ("src/runtime/plan_builder.cpp", "NetBuilder::compile",
      "verify_or_throw"),

@@ -104,12 +104,4 @@ std::shared_ptr<const CompiledPlan> compile_stream_backbone(
   return plan;
 }
 
-CompiledNet compile(const models::TempoNet& model) {
-  return CompiledNet(compile_plan(model));
-}
-
-CompiledNet compile(const models::ResTCN& model, index_t input_steps) {
-  return CompiledNet(compile_plan(model, input_steps));
-}
-
 }  // namespace pit::runtime

@@ -8,9 +8,8 @@
 //
 // Plans are shape-specialized: the compiled plan serves any batch size but
 // a fixed per-sample (C, T); compile again for a different input length.
-// compile_plan() returns the shareable immutable plan for concurrent
-// serving (one ExecutionContext per thread — see compiled_net.hpp);
-// compile() wraps the same plan in the single-threaded CompiledNet facade.
+// compile_plan() returns the shareable immutable plan; run it with one
+// ExecutionContext per thread (see compiled_net.hpp).
 #pragma once
 
 #include <memory>
@@ -50,9 +49,5 @@ std::shared_ptr<const CompiledPlan> compile_plan(const models::ResTCN& model,
 std::shared_ptr<const CompiledPlan> compile_stream_backbone(
     const models::TempoNet& model, index_t input_steps,
     WeightPool* pool = nullptr);
-
-/// Single-threaded facades over the plans above.
-CompiledNet compile(const models::TempoNet& model);
-CompiledNet compile(const models::ResTCN& model, index_t input_steps);
 
 }  // namespace pit::runtime

@@ -35,16 +35,21 @@
 // from two threads at once. The serving layer (src/serve) builds on exactly
 // this split: one shared plan, one context per worker thread.
 //
-// The CompiledNet facade at the bottom of this header bundles a plan with
-// one private context for single-threaded callers; it is NOT thread-safe —
-// share the underlying plan() instead.
+// Internally a plan is one op list (graph geometry only) plus one
+// detail::Program per element type it runs: always an fp32 program and,
+// after runtime::quantize_plan(), a u8 one. Both programs share one layout
+// shape — per-root offset/lead/slack/stride rows in one arena, per-conv
+// history rings, per-root step vectors — planned by one function and run
+// by one batched and one step executor templated on the element type.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <memory_resource>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/batchnorm.hpp"
@@ -89,6 +94,35 @@ namespace detail {
 
 enum class OpKind { kConv, kLinear, kAvgPool, kAdd };
 
+/// One recorded op: graph geometry only. How an op runs in a given dtype
+/// lives in that dtype's Program (its per-op lowering, parallel to the op
+/// list).
+struct Op {
+  OpKind kind = OpKind::kConv;
+  ValueId in0 = -1;
+  ValueId in1 = -1;  // second addend of kAdd
+  ValueId out = -1;
+  bool relu = false;  // activation fused into this op's output write
+  index_t c_in = 0, c_out = 0;  // conv/linear geometry (linear: features)
+  index_t k = 0;                // conv taps / pool kernel
+  index_t dilation = 1, stride = 1;
+  index_t t_in = 0, t_out = 0;
+};
+
+/// Stride-1 convs run the packed inference kernels (packed weights,
+/// padded input rows) in every dtype; strided convs take the fp32
+/// training kernels over dense rows.
+inline bool packed_conv(const Op& op) {
+  return op.kind == OpKind::kConv && op.stride == 1;
+}
+
+struct Value {
+  index_t channels = 0;
+  index_t steps = 0;
+  ValueId alias_of = -1;  // shares storage with an earlier value (flatten)
+  index_t numel() const { return channels * steps; }
+};
+
 /// Kernels resolved for one fp32 op at plan-build time (the registry is
 /// consulted exactly once, in NetBuilder::compile()); the executors call
 /// these pointers directly — no per-call backend resolution. `meta` /
@@ -103,34 +137,12 @@ struct OpBinding {
   const nn::kernels::KernelMeta* step_meta = nullptr;
 };
 
-struct Op {
-  OpKind kind = OpKind::kConv;
-  ValueId in0 = -1;
-  ValueId in1 = -1;  // second addend of kAdd
-  ValueId out = -1;
-  bool relu = false;    // activation fused into this op's output write
-  bool packed = false;  // conv weights in the inference-packed layout
-  index_t c_in = 0, c_out = 0;     // conv/linear geometry (linear: features)
-  index_t k = 0;                   // conv taps / pool kernel
-  index_t dilation = 1, stride = 1;
-  index_t t_in = 0, t_out = 0;
-  index_t w_blk = -1, b_blk = -1;  // handles into the plan's param blocks
-  OpBinding bind;                  // kernels resolved at plan-build time
+/// Per-op fp32 lowering: param block handles plus the bound kernels.
+struct F32Op {
+  index_t w_blk = -1, b_blk = -1;  // handles into the program's params
+  OpBinding bind;
 };
 
-struct Value {
-  index_t channels = 0;
-  index_t steps = 0;
-  ValueId alias_of = -1;  // shares storage with an earlier value (flatten)
-  index_t numel() const { return channels * steps; }
-};
-
-/// Per-op int8 lowering (parallel to the op list when the plan is
-/// quantized): the op's packed s8 weight block handle, offsets into the
-/// plan's float requantize-constant pool, plus the scalar requantize terms
-/// of the weight-less ops. Bias, input zero-point correction, and output zero
-/// point are all pre-folded into these constants — the kernels only ever
-/// compute m * acc + b.
 /// Kernels resolved for one quantized op at lowering time (the registry
 /// is consulted exactly once, in QuantizedCompiler::quantize()).
 struct QuantBinding {
@@ -141,10 +153,15 @@ struct QuantBinding {
   const nn::kernels::KernelMeta* step_meta = nullptr;
 };
 
+/// Per-op int8 lowering: the op's packed s8 weight block handle, offsets
+/// into the program's float requantize-constant pool, plus the scalar
+/// requantize terms of the weight-less ops. Bias, input zero-point
+/// correction, and output zero point are all pre-folded into these
+/// constants — the kernels only ever compute m * acc + b.
 struct QuantOp {
   index_t w_blk = -1;      // s8 weight block handle (conv / linear)
-  index_t m_off = -1;      // floats into qconsts_: co_round multipliers
-  index_t b_off = -1;      // floats into qconsts_: co_round biases
+  index_t m_off = -1;      // floats into consts: co_round multipliers
+  index_t b_off = -1;      // floats into consts: co_round biases
   float a_mul = 0.0F;      // add / pool: input scalings and offset
   float b_mul = 0.0F;
   float c_add = 0.0F;
@@ -153,19 +170,103 @@ struct QuantOp {
   QuantBinding bind;       // kernels resolved at lowering time
 };
 
+/// What each element type's program stores besides its layout. Rows of a
+/// program hold `kGroup` channels interleaved per time step (1 for fp32,
+/// the i8 kernels' channel quad for u8); `pad()` is the causal padding
+/// element a root's lead and its conv consumers' rings hold (0.0 / the
+/// root's zero-point byte).
+template <typename T>
+struct ProgramData;
+
+template <>
+struct ProgramData<float> {
+  using Lowering = F32Op;
+  static constexpr index_t kGroup = 1;
+  /// Tail slack after every packed-conv input row: the register-tile
+  /// overreach of the packed fp32 kernels.
+  static constexpr index_t kConvSlack = nn::kernels::kPackTimeTile;
+  /// The input is staged into the arena only when a conv needs it padded.
+  static constexpr bool kAlwaysStage = false;
+  static constexpr const char* kName = "fp32";
+  float pad(std::size_t /*root*/) const { return 0.0F; }
+
+  BlockTable<float> params;  // shared packed weight/bias blocks
+};
+
+template <>
+struct ProgramData<std::uint8_t> {
+  using Lowering = QuantOp;
+  static constexpr index_t kGroup = nn::kernels::kQuantCiGroup;
+  static constexpr index_t kConvSlack = 0;
+  /// Always staged: the float input is quantized into the arena.
+  static constexpr bool kAlwaysStage = true;
+  static constexpr const char* kName = "u8";
+  std::uint8_t pad(std::size_t root) const {
+    return static_cast<std::uint8_t>(qparams[root].zero_point);
+  }
+
+  BlockTable<std::int8_t> weights;  // shared packed s8 weight blocks
+  std::vector<float> consts;        // requantize m / b vectors
+  std::vector<quant::QuantParams> qparams;  // per value (aliases: root's)
+  std::vector<double> value_bound;          // worst-case error, per root
+  double error_bound = 0.0;
+  double error_estimate = 0.0;
+  // Input staging kernel (float -> u8 rows), bound at lowering time.
+  nn::kernels::StageI8Fn stage_fn = nullptr;
+  const nn::kernels::KernelMeta* stage_meta = nullptr;
+};
+
+/// Streaming layout: one history ring per conv op of row groups of
+/// (k-1)*dilation+1 slots, one single-step vector per storage root.
+/// Offsets and totals in elements of the program's type.
+struct StreamLayout {
+  std::vector<index_t> ring_off;  // per op; -1 for non-conv ops
+  std::vector<index_t> vec_off;   // per value; -1 for aliases
+  index_t ring = 0;
+  index_t vecs = 0;
+};
+
+/// One executable program of a plan in element type T (float or u8):
+/// its layout and its per-op lowering.
+///
+/// Row layout, per value id (entries of aliases are unused): every
+/// storage root is `row_groups(channels)` rows of `kGroup * stride`
+/// elements; a row holds `lead` steps of causal padding, the `steps`
+/// data steps, then `slack` readable steps. A root with `offset >= 0`
+/// lives in the per-sample arena; the others live in external buffers
+/// (the output tensor, and the caller's input unless it is staged — the
+/// input root carries an arena offset exactly when the executor copies
+/// it into the arena first).
+template <typename T>
+struct Program : ProgramData<T> {
+  using Lowering = typename ProgramData<T>::Lowering;
+
+  static index_t row_groups(index_t channels) {
+    return (channels + ProgramData<T>::kGroup - 1) / ProgramData<T>::kGroup;
+  }
+
+  std::vector<index_t> offset;  // per-sample arena offset; -1 = external
+  std::vector<index_t> lead;    // causal pad steps before each row
+  std::vector<index_t> slack;   // readable steps after each row
+  std::vector<index_t> stride;  // row stride in steps: lead+steps+slack
+  index_t arena = 0;            // arena elements per batch sample
+  StreamLayout stream;          // valid when the plan is streamable
+  std::vector<Lowering> ops;    // per-op lowering, parallel to the ops
+};
+
 }  // namespace detail
 
 class CompiledPlan;
 
-/// Per-thread execution state for a CompiledPlan: the batched activation
-/// arena (dtype-aware — a float arena for fp32 plans and a byte arena for
-/// quantized plans, each grown only by the plan kind that uses it) plus,
-/// for streaming step() execution, the per-conv dilated input history
-/// rings and per-value single-step vectors. A context is cheap to
-/// construct (buffers grow lazily on first use), is bound to whichever plan
-/// last ran it, and must only ever be driven by one thread at a time. It
-/// must not outlive the plan it is bound to. One context may serve fp32
-/// and quantized plans interchangeably (the arenas are independent).
+/// Per-thread execution state for a CompiledPlan: one buffer set per
+/// element type — the batched activation arena plus, for streaming step()
+/// execution, the per-conv dilated input history rings and per-root
+/// single-step vectors. Each set grows only when a program of its type
+/// runs, so one context may serve fp32 and quantized plans
+/// interchangeably. A context is cheap to construct (buffers grow lazily
+/// on first use), is bound to whichever plan last streamed on it, and
+/// must only ever be driven by one thread at a time. It must not outlive
+/// the plan it is bound to.
 ///
 /// ALLOCATION SEAM. Every buffer is a std::pmr vector: a context built
 /// with a memory_resource routes all growth and release through it. This
@@ -178,12 +279,7 @@ class ExecutionContext {
  public:
   ExecutionContext() = default;
   explicit ExecutionContext(std::pmr::memory_resource* mr)
-      : arena_(mr),
-        qarena_(mr),
-        stream_ring_(mr),
-        stream_vals_(mr),
-        qstream_ring_(mr),
-        qstream_vals_(mr) {}
+      : f32_(mr), u8_(mr) {}
 
   /// Forgets the streaming history: the next step() starts a fresh
   /// sequence at t = 0 (implicit causal zero-padding again). The batch
@@ -203,8 +299,8 @@ class ExecutionContext {
   /// survive, so a compacted streaming session resumes its sequence
   /// untouched. The next forward() simply regrows the arena.
   void compact() {
-    release(arena_);
-    release(qarena_);
+    release(f32_.arena);
+    release(u8_.arena);
   }
 
   /// Releases every buffer — batch arenas AND streaming state — and
@@ -213,28 +309,47 @@ class ExecutionContext {
   /// uses to hand its bytes back to the allocator cache.
   void release_buffers() {
     compact();
-    release(stream_ring_);
-    release(stream_vals_);
-    release(qstream_ring_);
-    release(qstream_vals_);
+    release(f32_.ring);
+    release(f32_.vecs);
+    release(u8_.ring);
+    release(u8_.vecs);
     reset_stream();
   }
 
   /// Bytes currently held by the batched-forward arenas (what compact()
   /// frees). Capacity, not size — this is the malloc footprint.
   std::size_t batch_arena_bytes() const {
-    return arena_.capacity() * sizeof(float) + qarena_.capacity();
+    return f32_.arena.capacity() * sizeof(float) + u8_.arena.capacity();
   }
   /// Bytes currently held by the streaming rings and step vectors (what
   /// survives compact()).
   std::size_t stream_bytes() const {
-    return (stream_ring_.capacity() + stream_vals_.capacity()) *
-               sizeof(float) +
-           qstream_ring_.capacity() + qstream_vals_.capacity();
+    return (f32_.ring.capacity() + f32_.vecs.capacity()) * sizeof(float) +
+           u8_.ring.capacity() + u8_.vecs.capacity();
   }
 
  private:
   friend class CompiledPlan;
+
+  /// The buffers a program of element type T runs in.
+  template <typename T>
+  struct Buffers {
+    Buffers() = default;
+    explicit Buffers(std::pmr::memory_resource* mr)
+        : arena(mr), ring(mr), vecs(mr) {}
+    std::pmr::vector<T> arena;  // grown to the arena size * max N
+    std::pmr::vector<T> ring;   // per-conv dilated input history
+    std::pmr::vector<T> vecs;   // one step vector per storage root
+  };
+
+  template <typename T>
+  Buffers<T>& buffers() {
+    if constexpr (std::is_same_v<T, float>) {
+      return f32_;
+    } else {
+      return u8_;
+    }
+  }
 
   template <typename V>
   static void release(V& v) {
@@ -244,16 +359,9 @@ class ExecutionContext {
     V(v.get_allocator()).swap(v);
   }
 
-  std::pmr::vector<float> arena_;     // grown to plan arena floats * max N
-  std::pmr::vector<std::uint8_t> qarena_;  // byte arena of quantized plans
+  Buffers<float> f32_;
+  Buffers<std::uint8_t> u8_;
   const CompiledPlan* stream_plan_ = nullptr;  // rings sized for this plan
-  std::pmr::vector<float> stream_ring_;  // per-conv dilated input history
-  std::pmr::vector<float> stream_vals_;  // one C-vector per live value
-  // Streaming state of quantized plans: the same ring/value split, held
-  // as u8 bytes in the channel-group-interleaved layout (rings initialize
-  // to each conv input's zero-point byte — the causal padding).
-  std::pmr::vector<std::uint8_t> qstream_ring_;
-  std::pmr::vector<std::uint8_t> qstream_vals_;
   std::uint64_t stream_t_ = 0;
 };
 
@@ -299,7 +407,7 @@ class CompiledPlan {
   /// and step() dispatch automatically, so serving layers need no
   /// changes — a quantized plan of a streamable network streams int8
   /// (u8 ring-buffer history, single-step i8 kernels).
-  bool quantized() const { return quantized_; }
+  bool quantized() const { return u8_.has_value(); }
   /// Analytic worst-case |quantized - fp32 plan| output bound, valid for
   /// inputs inside the calibrated input range. Requires quantized().
   double quant_error_bound() const;
@@ -308,16 +416,16 @@ class CompiledPlan {
   double quant_error_estimate() const;
   /// Packed s8 weight bytes of the quantized program (0 when fp32-only).
   index_t quant_weight_bytes() const {
-    return static_cast<index_t>(qweights_.total_elems());
+    return u8_ ? static_cast<index_t>(u8_->weights.total_elems()) : 0;
   }
   /// Byte-arena bytes per batch sample (0 when fp32-only).
-  index_t quant_arena_bytes_per_sample() const { return q_arena_bytes_; }
+  index_t quant_arena_bytes_per_sample() const {
+    return u8_ ? u8_->arena : 0;
+  }
   /// Calibrated affine u8 parameters per value storage root (empty when
   /// fp32-only; aliases report their root's entry). Bit-identical across
   /// quantize_plan() runs over the same calibration stream.
-  const std::vector<quant::QuantParams>& activation_quant_params() const {
-    return qvalue_;
-  }
+  const std::vector<quant::QuantParams>& activation_quant_params() const;
 
   /// Public geometry of one executed op, for benches that cross-check the
   /// plan against analytical hardware models (hw::gap8).
@@ -332,13 +440,13 @@ class CompiledPlan {
   std::vector<OpInfo> op_infos() const;
   /// Activation arena floats needed per batch sample (liveness-planned;
   /// compare with the sum of all activation sizes to see the reuse).
-  index_t arena_floats_per_sample() const { return arena_per_sample_; }
+  index_t arena_floats_per_sample() const { return fp32_.arena; }
   /// Sum of all planned activation buffer sizes (padding included) per
   /// sample, had nothing been reused.
   index_t activation_floats_per_sample() const;
   /// Packed parameter count (post-folding; BN has disappeared into convs).
   index_t param_floats() const {
-    return static_cast<index_t>(params_.total_elems());
+    return static_cast<index_t>(fp32_.params.total_elems());
   }
   std::size_t num_ops() const { return ops_.size(); }
   /// Visits every shared weight block (fp32 params and s8 qweights) with
@@ -346,21 +454,24 @@ class CompiledPlan {
   /// to count bytes resident once across plans that share blocks.
   void visit_weight_blocks(
       const std::function<void(const void*, std::size_t)>& fn) const {
-    for (index_t i = 0; i < params_.count(); ++i) {
-      fn(params_.data(i), params_.block(i)->size() * sizeof(float));
+    for (index_t i = 0; i < fp32_.params.count(); ++i) {
+      fn(fp32_.params.data(i), fp32_.params.block(i)->size() * sizeof(float));
     }
-    for (index_t i = 0; i < qweights_.count(); ++i) {
-      fn(qweights_.data(i), qweights_.block(i)->size());
+    if (u8_) {
+      const BlockTable<std::int8_t>& weights = u8_->weights;
+      for (index_t i = 0; i < weights.count(); ++i) {
+        fn(weights.data(i), weights.block(i)->size());
+      }
     }
   }
   /// Order-sensitive content hash over all packed fp32 param blocks — the
   /// architecture fingerprint component derived from the exported weights.
   std::uint64_t param_content_hash() const {
-    std::uint64_t h = params_.content_hash();
-    if (qweights_.count() > 0) {
+    std::uint64_t h = fp32_.params.content_hash();
+    if (u8_ && u8_->weights.count() > 0) {
       // An int8 lowering shares its source's fp32 blocks verbatim — the
       // s8 table is what distinguishes the two plans' content.
-      const std::uint64_t q = qweights_.content_hash();
+      const std::uint64_t q = u8_->weights.content_hash();
       h = hash_bytes(&q, sizeof(q), h);
     }
     return h;
@@ -381,78 +492,41 @@ class CompiledPlan {
   friend class PlanMutator;             // test-only plan corruption
   CompiledPlan() = default;
 
-  void bind_stream(ExecutionContext& ctx) const;
-  // Quantized streaming internals (quantize_plan.cpp): alias-resolved
-  // storage root in the quantized program (the input maps to its u8
-  // staging value), zero-point ring initialization, and the int8 step
-  // executor.
-  std::size_t quant_root(ValueId v) const;
-  void bind_stream_quantized(ExecutionContext& ctx) const;
-  void step_quantized(const float* input, float* output,
-                      ExecutionContext& ctx) const;
-
   /// Observation hook for calibration and per-layer diagnostics: invoked
   /// once for the network input and once after each op, with the value id
   /// and its (dense-view) float data — `data` points at (row 0, t = 0),
   /// rows are n * channels, each `steps` long and `stride` floats apart.
-  /// The quantized executor dequantizes into a scratch row before calling.
+  /// The u8 program dequantizes into a scratch row before calling.
   using ValueHook =
       std::function<void(ValueId, const float* data, index_t rows,
                          index_t steps, index_t stride)>;
-  Tensor forward_fp32(const Tensor& input, ExecutionContext& ctx,
-                      const ValueHook* hook) const;
-  Tensor forward_quantized(const Tensor& input, ExecutionContext& ctx,
-                           const ValueHook* hook) const;
+
+  /// The one layout planner (plan_builder.cpp): plans `prog`'s rows,
+  /// arena, input staging and streaming layout from the op list.
+  template <typename T>
+  void plan_layout(detail::Program<T>& prog) const;
+  /// The batched executor (executor_batched.cpp).
+  template <typename T>
+  Tensor run_batched(const detail::Program<T>& prog, const Tensor& input,
+                     ExecutionContext& ctx, const ValueHook* hook) const;
+  /// The step executor (executor_step.cpp).
+  template <typename T>
+  void run_step(const detail::Program<T>& prog, const float* input,
+                float* output, ExecutionContext& ctx) const;
 
   std::vector<detail::Op> ops_;
   std::vector<detail::Value> values_;
-  std::vector<ValueId> root_;       // alias-resolved storage id per value
-  std::vector<index_t> offsets_;    // per-sample arena offset per root
-  std::vector<index_t> lead_;       // zeroed pad floats before each row
-  std::vector<index_t> slack_;      // readable floats after each row
-  std::vector<index_t> stride_;     // row stride = lead + steps + slack
-  BlockTable<float> params_;        // shared packed weight/bias blocks
+  std::vector<ValueId> root_;  // alias-resolved storage id per value
   ValueId input_ = -1;
   ValueId output_ = -1;
-  ValueId input_stage_ = -1;        // padded copy of the input, if needed
-  index_t arena_per_sample_ = 0;
-  // Streaming layout (valid when streamable_): one history ring per conv
-  // op of (k-1)*dilation+1 slots per input channel, one single-step
-  // C-vector per storage root.
+  // Every op is a stride-1 conv or an add: both programs carry a
+  // streaming layout.
   bool streamable_ = false;
-  std::vector<index_t> ring_off_;   // per op; -1 for non-conv ops
-  index_t ring_floats_ = 0;
-  std::vector<index_t> val_off_;    // per value root; -1 for aliases
-  index_t val_floats_ = 0;
-  // Quantized program (valid when quantized_): per-op lowering plus the
-  // byte-arena layout — u8 activations in channel-group-interleaved rows,
-  // q_lead_ zero-point-filled steps of causal padding per conv input row.
-  // Built by QuantizedCompiler; the fp32 section above stays intact for
-  // reference runs and per-layer comparisons.
-  bool quantized_ = false;
-  std::vector<detail::QuantOp> qops_;      // parallel to ops_
-  BlockTable<std::int8_t> qweights_;       // shared packed s8 weight blocks
-  std::vector<float> qconsts_;             // requantize m / b vectors
-  std::vector<quant::QuantParams> qvalue_;  // per value root
-  std::vector<index_t> q_lead_;            // steps, per value root
-  std::vector<index_t> q_stride_;          // steps, per value root
-  std::vector<index_t> q_off_;             // arena bytes/sample, per root
-  ValueId q_stage_ = -1;                   // u8 staging copy of the input
-  index_t q_arena_bytes_ = 0;
-  // Input staging kernel of the quantized program, bound at lowering time.
-  nn::kernels::StageI8Fn qstage_fn_ = nullptr;
-  const nn::kernels::KernelMeta* qstage_meta_ = nullptr;
-  // Quantized streaming layout (valid when streamable_ && quantized_):
-  // one u8 history ring per conv op — quant_groups(c_in) group rows of
-  // (k-1)*dilation+1 interleaved quad slots — and one single-step u8 quad
-  // vector per value root. All offsets/sizes in bytes.
-  std::vector<index_t> q_ring_off_;        // per op; -1 for non-conv ops
-  index_t q_ring_bytes_ = 0;
-  std::vector<index_t> q_val_off_;         // per value root; -1 otherwise
-  index_t q_val_bytes_ = 0;
-  double q_error_bound_ = 0.0;
-  double q_error_estimate_ = 0.0;
-  std::vector<double> q_value_bound_;      // per value root
+  detail::Program<float> fp32_;
+  // The int8 program, built by QuantizedCompiler; when present forward()
+  // and step() run it, and fp32_ stays intact for reference runs and
+  // per-layer comparisons.
+  std::optional<detail::Program<std::uint8_t>> u8_;
 };
 
 /// Records a network as a sequence of fused inference ops, then plans and
@@ -484,50 +558,13 @@ class NetBuilder {
   ValueId new_value(index_t channels, index_t steps, ValueId alias_of = -1);
   const detail::Value& value(ValueId v) const;
   index_t push_params(const float* data, index_t count);
+  void push_op(const detail::Op& op, index_t w_blk = -1,
+               index_t b_blk = -1);
 
   std::vector<detail::Op> ops_;
   std::vector<detail::Value> values_;
-  BlockTable<float> params_;
+  detail::Program<float> fp32_;  // per-op param blocks so far
   ValueId input_ = -1;
-};
-
-/// Single-threaded convenience facade: one shared plan bundled with one
-/// private context, keeping the original pre-split API. NOT thread-safe —
-/// concurrent callers must share plan() and bring their own contexts.
-class CompiledNet {
- public:
-  explicit CompiledNet(CompiledPlan plan)
-      : plan_(std::make_shared<const CompiledPlan>(std::move(plan))) {}
-  explicit CompiledNet(std::shared_ptr<const CompiledPlan> plan)
-      : plan_(std::move(plan)) {}
-
-  Tensor forward(const Tensor& input) { return plan_->forward(input, ctx_); }
-  /// Streaming single-step on the facade's private context.
-  Tensor step(const Tensor& input) { return plan_->step(input, ctx_); }
-  void reset_stream() { ctx_.reset_stream(); }
-
-  /// The immutable plan — hand this (plus per-thread contexts) to
-  /// concurrent callers, e.g. serve::InferenceServer.
-  const std::shared_ptr<const CompiledPlan>& plan() const { return plan_; }
-
-  bool streamable() const { return plan_->streamable(); }
-  index_t input_channels() const { return plan_->input_channels(); }
-  index_t input_steps() const { return plan_->input_steps(); }
-  index_t output_channels() const { return plan_->output_channels(); }
-  index_t output_steps() const { return plan_->output_steps(); }
-  index_t arena_floats_per_sample() const {
-    return plan_->arena_floats_per_sample();
-  }
-  index_t activation_floats_per_sample() const {
-    return plan_->activation_floats_per_sample();
-  }
-  index_t param_floats() const { return plan_->param_floats(); }
-  std::size_t num_ops() const { return plan_->num_ops(); }
-  std::string summary() const { return plan_->summary(); }
-
- private:
-  std::shared_ptr<const CompiledPlan> plan_;
-  ExecutionContext ctx_;
 };
 
 }  // namespace pit::runtime

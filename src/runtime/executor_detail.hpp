@@ -1,47 +1,29 @@
-// Internal vocabulary shared by the per-executor translation units of the
-// compiled runtime (plan_builder.cpp, executor_fp32.cpp,
-// executor_stream.cpp, quant_lowering.cpp, executor_i8.cpp,
-// executor_stream_i8.cpp). Not part of the public interface —
+// Internal vocabulary shared by the compiled runtime's translation units
+// (plan_builder.cpp, quant_lowering.cpp, verify.cpp, executor_batched.cpp,
+// executor_step.cpp). Not part of the public interface —
 // runtime/compiled_net.hpp and runtime/quantize_plan.hpp stay the only
 // headers callers see.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
+#include <vector>
 
 #include "runtime/compiled_net.hpp"
 
 namespace pit::runtime::detail {
 
-// Below this many output floats / bytes an op runs serially: the OpenMP
-// fork costs more than the loop (same spirit as the kernel engine's MAC
-// threshold).
-constexpr index_t kParallelMinFloats = 16384;
-constexpr index_t kQParallelMinBytes = 16384;
-
-/// An fp32 operand's buffer at run time: `p` points at the logical
-/// (row 0, t = 0) element; consecutive channel rows are `stride` floats
-/// apart.
-struct RowSpan {
-  float* p = nullptr;
-  index_t stride = 0;
-};
-
-/// A u8 operand's buffer: `p` points at (group row 0, t = 0); group rows
-/// are kQuantCiGroup * `stride` bytes apart (`stride` in time steps).
-struct QSpan {
-  std::uint8_t* p = nullptr;
-  index_t stride = 0;
-};
-
-inline int clamp_u8(long q, int lo) {
-  return static_cast<int>(std::clamp(q, static_cast<long>(lo), 255L));
-}
-
-/// Ring slots a streaming conv keeps per input channel: the current input
+/// Ring slots a streaming conv keeps per input row: the current input
 /// plus the (k-1)*dilation past steps its oldest tap reaches back to.
 inline index_t ring_span(const Op& op) {
   return (op.k - 1) * op.dilation + 1;
 }
+
+/// The streaming layout of a program whose rows interleave `group`
+/// channels: every conv's ring and every storage root's step vector,
+/// packed in op / value order (plan_builder.cpp). The planner stores it;
+/// the verifier and the step executor's bind re-derive it to check the
+/// stored one.
+StreamLayout stream_layout(const std::vector<Op>& ops,
+                           const std::vector<Value>& values,
+                           const std::vector<ValueId>& root, index_t group);
 
 }  // namespace pit::runtime::detail

@@ -1,7 +1,9 @@
 // Plan construction: module freezing, BN folding, the NetBuilder graph
-// recorder, arena/streaming layout planning, and the plan-build-time kernel
-// binding that resolves every op to a concrete registry kernel exactly
-// once. Execution lives in the executor_*.cpp translation units.
+// recorder, the one layout planner both element types' programs use
+// (rows, arena, input staging, streaming), and the plan-build-time kernel
+// binding that resolves every fp32 op to a concrete registry kernel
+// exactly once. Execution lives in executor_batched.cpp and
+// executor_step.cpp.
 #include <algorithm>
 #include <cmath>
 #include <sstream>
@@ -70,8 +72,17 @@ const detail::Value& NetBuilder::value(ValueId v) const {
 }
 
 index_t NetBuilder::push_params(const float* data, index_t count) {
-  return params_.add(
+  return fp32_.params.add(
       std::vector<float>(data, data + static_cast<std::size_t>(count)));
+}
+
+void NetBuilder::push_op(const detail::Op& op, index_t w_blk,
+                         index_t b_blk) {
+  ops_.push_back(op);
+  detail::F32Op lowered;
+  lowered.w_blk = w_blk;
+  lowered.b_blk = b_blk;
+  fp32_.ops.push_back(lowered);
 }
 
 ValueId NetBuilder::input(index_t channels, index_t steps) {
@@ -105,10 +116,10 @@ ValueId NetBuilder::conv(ValueId x, const FrozenConv& c, bool fuse_relu) {
   op.stride = c.stride;
   op.t_in = in.steps;
   op.t_out = nn::causal_conv1d_output_steps(in.steps, c.stride);
-  if (c.stride == 1) {
+  index_t w_blk = -1;
+  if (detail::packed_conv(op)) {
     // Stride-1 convs (the TCN hot path) get the inference-packed weight
     // layout so execution takes the packed conv kernels.
-    op.packed = true;
     nn::kernels::ConvDims dims{};
     dims.c_in = c.c_in;
     dims.c_out = c.c_out;
@@ -116,17 +127,17 @@ ValueId NetBuilder::conv(ValueId x, const FrozenConv& c, bool fuse_relu) {
     const index_t packed_floats = nn::kernels::packed_weight_floats(dims);
     std::vector<float> packed(static_cast<std::size_t>(packed_floats));
     nn::kernels::pack_conv_weight(c.weight.data(), dims, packed.data());
-    op.w_blk = params_.add(std::move(packed));
+    w_blk = fp32_.params.add(std::move(packed));
   } else {
-    op.w_blk = push_params(c.weight.data(),
-                           static_cast<index_t>(c.weight.size()));
+    w_blk = push_params(c.weight.data(),
+                        static_cast<index_t>(c.weight.size()));
   }
-  op.b_blk = c.bias.empty()
-                 ? -1
-                 : push_params(c.bias.data(),
-                               static_cast<index_t>(c.bias.size()));
+  const index_t b_blk =
+      c.bias.empty() ? -1
+                     : push_params(c.bias.data(),
+                                   static_cast<index_t>(c.bias.size()));
   op.out = new_value(c.c_out, op.t_out);
-  ops_.push_back(op);
+  push_op(op, w_blk, b_blk);
   return op.out;
 }
 
@@ -148,15 +159,15 @@ ValueId NetBuilder::linear(ValueId x, const Tensor& weight, const Tensor& bias,
   op.c_out = weight.dim(0);
   op.t_in = 1;
   op.t_out = 1;
-  op.w_blk = push_params(weight.data(), weight.numel());
-  op.b_blk = -1;
+  const index_t w_blk = push_params(weight.data(), weight.numel());
+  index_t b_blk = -1;
   if (bias.defined()) {
     PIT_CHECK(bias.rank() == 1 && bias.dim(0) == op.c_out,
               "NetBuilder::linear: bias " << bias.shape().to_string());
-    op.b_blk = push_params(bias.data(), bias.numel());
+    b_blk = push_params(bias.data(), bias.numel());
   }
   op.out = new_value(op.c_out, 1);
-  ops_.push_back(op);
+  push_op(op, w_blk, b_blk);
   return op.out;
 }
 
@@ -176,7 +187,7 @@ ValueId NetBuilder::avg_pool(ValueId x, index_t kernel, index_t stride) {
   op.t_in = in.steps;
   op.t_out = (in.steps - kernel) / stride + 1;
   op.out = new_value(in.channels, op.t_out);
-  ops_.push_back(op);
+  push_op(op);
   return op.out;
 }
 
@@ -197,7 +208,7 @@ ValueId NetBuilder::add(ValueId a, ValueId b, bool fuse_relu) {
   op.t_in = va.steps;
   op.t_out = va.steps;
   op.out = new_value(va.channels, va.steps);
-  ops_.push_back(op);
+  push_op(op);
   return op.out;
 }
 
@@ -215,11 +226,11 @@ CompiledPlan NetBuilder::compile(ValueId output, WeightPool* pool) && {
   CompiledPlan net;
   net.ops_ = std::move(ops_);
   net.values_ = std::move(values_);
-  net.params_ = std::move(params_);
+  net.fp32_ = std::move(fp32_);
   if (pool != nullptr) {
     // Re-intern every packed block through the shared pool: plans compiled
     // against one pool share physical storage for identical layers.
-    net.params_.intern_all(*pool);
+    net.fp32_.params.intern_all(*pool);
   }
   net.input_ = input_;
   net.output_ = output;
@@ -231,169 +242,39 @@ CompiledPlan NetBuilder::compile(ValueId output, WeightPool* pool) && {
     net.root_[v] = a < 0 ? static_cast<ValueId>(v)
                          : net.root_[static_cast<std::size_t>(a)];
   }
-  const ValueId in_root = net.root_[static_cast<std::size_t>(net.input_)];
-  const ValueId out_root = net.root_[static_cast<std::size_t>(net.output_)];
-  PIT_CHECK(out_root != in_root,
+  PIT_CHECK(net.root_[static_cast<std::size_t>(net.output_)] !=
+                net.root_[static_cast<std::size_t>(net.input_)],
             "NetBuilder: the output aliases the input; nothing to execute");
   PIT_CHECK(net.values_[static_cast<std::size_t>(net.output_)].alias_of < 0,
             "NetBuilder: the output must be an op result, not a flatten "
             "view");
 
-  // Liveness per storage root: defined by its producing op, dead after its
-  // last reader. The input and output live in external buffers.
-  std::vector<int> def(net.values_.size(), -1);
-  std::vector<int> last(net.values_.size(), -1);
-  for (std::size_t i = 0; i < net.ops_.size(); ++i) {
-    const detail::Op& op = net.ops_[i];
-    const auto touch = [&](ValueId v, std::vector<int>& slot) {
-      if (v >= 0) {
-        slot[static_cast<std::size_t>(
-            net.root_[static_cast<std::size_t>(v)])] = static_cast<int>(i);
-      }
-    };
-    touch(op.in0, last);
-    touch(op.in1, last);
-    touch(op.out, def);
-  }
-  PIT_CHECK(def[static_cast<std::size_t>(out_root)] >= 0,
-            "NetBuilder: output is not produced by any op");
-
-  // Row layouts. Every value a packed conv reads is planned padded:
-  // (k-1)*dilation zeroed lead floats per channel row (the implicit
-  // causal padding, materialized once) plus a register tile of tail
-  // slack, so the kernel never does per-tap bounds work.
-  const std::size_t nv = net.values_.size();
-  net.lead_.assign(nv, 0);
-  net.slack_.assign(nv, 0);
-  for (const detail::Op& op : net.ops_) {
-    if (op.kind == detail::OpKind::kConv && op.packed) {
-      const auto r =
-          static_cast<std::size_t>(net.root_[static_cast<std::size_t>(op.in0)]);
-      net.lead_[r] = std::max(net.lead_[r], (op.k - 1) * op.dilation);
-      net.slack_[r] = nn::kernels::kPackTimeTile;
-    }
-  }
-  // The output lives in the returned dense tensor; padding it is not
-  // supported (no consumer could need it anyway — it feeds no op).
-  PIT_CHECK(net.lead_[static_cast<std::size_t>(out_root)] == 0 &&
-                net.slack_[static_cast<std::size_t>(out_root)] == 0,
-            "NetBuilder: the network output cannot feed a packed conv");
-  // Flatten aliases reinterpret rows as one contiguous block: only legal
-  // over dense storage.
-  for (std::size_t v = 0; v < nv; ++v) {
-    if (net.values_[v].alias_of >= 0) {
-      const auto r = static_cast<std::size_t>(net.root_[v]);
-      PIT_CHECK(net.lead_[r] == 0 && net.slack_[r] == 0,
-                "NetBuilder: flatten of a conv-consumed (padded) value is "
-                "not supported");
-    }
-  }
-  // Ops that can only write dense rows must not produce padded values,
-  // and ops that can only read dense rows must not consume them — catch
-  // both at compile time rather than on the first forward().
-  for (const detail::Op& op : net.ops_) {
-    const bool dense_only =
-        op.kind == detail::OpKind::kLinear ||
-        (op.kind == detail::OpKind::kConv && !op.packed);
-    if (dense_only) {
-      const auto out_r =
-          static_cast<std::size_t>(net.root_[static_cast<std::size_t>(op.out)]);
-      PIT_CHECK(net.lead_[out_r] == 0 && net.slack_[out_r] == 0,
-                "NetBuilder: a strided conv / linear cannot feed a packed "
-                "conv directly");
-      const auto in_r =
-          static_cast<std::size_t>(net.root_[static_cast<std::size_t>(op.in0)]);
-      PIT_CHECK(net.lead_[in_r] == 0 && net.slack_[in_r] == 0,
-                "NetBuilder: a strided conv / linear cannot read a value "
-                "that also feeds a packed conv");
-    }
-  }
-  net.stride_.assign(nv, 0);
-  for (std::size_t v = 0; v < nv; ++v) {
-    net.stride_[v] = net.lead_[v] + net.values_[v].steps + net.slack_[v];
-  }
-
-  std::vector<ArenaRequest> requests;
-  std::vector<ValueId> request_root;
-  for (std::size_t v = 0; v < nv; ++v) {
-    const auto vid = static_cast<ValueId>(v);
-    if (net.root_[v] != vid || vid == in_root || vid == out_root ||
-        def[v] < 0) {
-      continue;  // alias, external buffer, or never produced
-    }
-    requests.push_back({net.values_[v].channels * net.stride_[v], def[v],
-                        std::max(last[v], def[v])});
-    request_root.push_back(vid);
-  }
-  // A padded input cannot alias the caller's dense tensor: plan a staging
-  // value the forward pass copies (and zero-pads) the input into.
-  const auto in_idx = static_cast<std::size_t>(in_root);
-  if (net.lead_[in_idx] > 0 || net.slack_[in_idx] > 0) {
-    const detail::Value in_value = net.values_[in_idx];  // copy: push_back
-    net.input_stage_ = static_cast<ValueId>(nv);
-    net.values_.push_back({in_value.channels, in_value.steps, -1});
-    net.root_.push_back(net.input_stage_);
-    net.lead_.push_back(net.lead_[in_idx]);
-    net.slack_.push_back(net.slack_[in_idx]);
-    net.stride_.push_back(net.stride_[in_idx]);
-    requests.push_back(
-        {in_value.channels * net.stride_[in_idx], 0,
-         std::max(last[in_idx], 0)});
-    request_root.push_back(net.input_stage_);
-  }
-  const ArenaPlan plan = plan_arena(requests);
-  net.offsets_.assign(net.values_.size(), -1);
-  for (std::size_t r = 0; r < request_root.size(); ++r) {
-    net.offsets_[static_cast<std::size_t>(request_root[r])] = plan.offsets[r];
-  }
-  net.arena_per_sample_ = plan.total;
-
-  // Streaming layout: legal when every op preserves the time axis one step
-  // at a time — stride-1 convs (their packed weights double as the
-  // per-step layout) and elementwise adds.
-  net.streamable_ = true;
-  for (const detail::Op& op : net.ops_) {
-    const bool ok =
-        (op.kind == detail::OpKind::kConv && op.stride == 1 && op.packed) ||
-        op.kind == detail::OpKind::kAdd;
-    if (!ok) {
-      net.streamable_ = false;
-      break;
-    }
-  }
-  if (net.streamable_) {
-    net.ring_off_.assign(net.ops_.size(), -1);
-    for (std::size_t i = 0; i < net.ops_.size(); ++i) {
-      const detail::Op& op = net.ops_[i];
-      if (op.kind == detail::OpKind::kConv) {
-        net.ring_off_[i] = net.ring_floats_;
-        net.ring_floats_ += op.c_in * detail::ring_span(op);
-      }
-    }
-    net.val_off_.assign(net.values_.size(), -1);
-    for (std::size_t v = 0; v < net.values_.size(); ++v) {
-      if (net.root_[v] == static_cast<ValueId>(v)) {
-        net.val_off_[v] = net.val_floats_;
-        net.val_floats_ += net.values_[v].channels;
-      }
-    }
-  }
+  // Streamable when every op preserves the time axis one step at a time:
+  // stride-1 convs (their packed weights double as the per-step layout)
+  // and elementwise adds.
+  net.streamable_ = std::all_of(
+      net.ops_.begin(), net.ops_.end(), [](const detail::Op& op) {
+        return detail::packed_conv(op) || op.kind == detail::OpKind::kAdd;
+      });
+  net.plan_layout(net.fp32_);
 
   // Kernel binding: resolve every op to concrete registry kernels, once.
   // The executors only ever call these pointers — there is no backend
   // resolution, env lookup, or signature matching on the hot path.
   const auto& reg = nn::kernels::Registry::instance();
-  for (detail::Op& op : net.ops_) {
+  for (std::size_t i = 0; i < net.ops_.size(); ++i) {
+    const detail::Op& op = net.ops_[i];
+    detail::OpBinding& bind = net.fp32_.ops[i].bind;
     switch (op.kind) {
       case detail::OpKind::kConv:
-        if (op.packed) {
+        if (detail::packed_conv(op)) {
           const nn::kernels::ConvSig sig{op.k, op.c_in, op.c_out};
           const auto conv = reg.conv_packed_f32(sig);
-          op.bind.conv = conv.fn;
-          op.bind.meta = conv.meta;
+          bind.conv = conv.fn;
+          bind.meta = conv.meta;
           const auto step = reg.conv_step_f32(sig);
-          op.bind.step = step.fn;
-          op.bind.step_meta = step.meta;
+          bind.step = step.fn;
+          bind.step_meta = step.meta;
         } else {
           // Strided conv: the historical scalar-vs-blocked resolution
           // (override, env, MAC heuristic) runs here, once, for the op's
@@ -408,20 +289,20 @@ CompiledPlan NetBuilder::compile(ValueId output, WeightPool* pool) && {
           dims.dilation = op.dilation;
           dims.stride = op.stride;
           const auto train = reg.conv_train_f32(dims);
-          op.bind.conv_train = train.fn;
-          op.bind.meta = train.meta;
+          bind.conv_train = train.fn;
+          bind.meta = train.meta;
         }
         break;
       case detail::OpKind::kLinear: {
         const auto lin = reg.linear_f32();
-        op.bind.linear = lin.fn;
-        op.bind.meta = lin.meta;
+        bind.linear = lin.fn;
+        bind.meta = lin.meta;
         break;
       }
       case detail::OpKind::kAvgPool:
       case detail::OpKind::kAdd:
         // Executed by loops inside the executor itself.
-        op.bind.meta = &nn::kernels::Registry::inline_meta();
+        bind.meta = &nn::kernels::Registry::inline_meta();
         break;
     }
   }
@@ -430,6 +311,140 @@ CompiledPlan NetBuilder::compile(ValueId output, WeightPool* pool) && {
   // them — a plan that compiles is a plan whose memory model verified.
   analysis::verify_or_throw(net, "NetBuilder::compile");
   return net;
+}
+
+// ---- The layout planner ---------------------------------------------------
+
+template <typename T>
+void CompiledPlan::plan_layout(detail::Program<T>& prog) const {
+  using Data = detail::ProgramData<T>;
+  const std::size_t nv = values_.size();
+  const auto root = [&](ValueId v) {
+    return static_cast<std::size_t>(root_[static_cast<std::size_t>(v)]);
+  };
+  const std::size_t in_root = root(input_);
+  const std::size_t out_root = root(output_);
+
+  // Liveness per storage root: defined by its producing op, dead after its
+  // last reader.
+  std::vector<int> def(nv, -1);
+  std::vector<int> last(nv, -1);
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const detail::Op& op = ops_[i];
+    if (op.in1 >= 0) {
+      last[root(op.in1)] = static_cast<int>(i);
+    }
+    last[root(op.in0)] = static_cast<int>(i);
+    def[root(op.out)] = static_cast<int>(i);
+  }
+  PIT_CHECK(def[out_root] >= 0, "NetBuilder: output is not produced by any op");
+
+  // Row layouts. Every value a packed conv reads is planned padded:
+  // (k-1)*dilation lead steps per row holding the causal padding
+  // (materialized once) plus the dtype's tail slack, so the kernel never
+  // does per-tap bounds work.
+  prog.lead.assign(nv, 0);
+  prog.slack.assign(nv, 0);
+  for (const detail::Op& op : ops_) {
+    if (detail::packed_conv(op)) {
+      const std::size_t r = root(op.in0);
+      prog.lead[r] = std::max(prog.lead[r], (op.k - 1) * op.dilation);
+      prog.slack[r] = Data::kConvSlack;
+    }
+  }
+  const auto padded = [&](std::size_t r) {
+    return prog.lead[r] > 0 || prog.slack[r] > 0;
+  };
+  // The output lives in the returned dense tensor; padding it is not
+  // supported (no consumer could need it anyway — it feeds no op).
+  PIT_CHECK(!padded(out_root),
+            "NetBuilder: the network output cannot feed a packed conv");
+  // Flatten aliases reinterpret rows as one contiguous block: only legal
+  // over dense storage.
+  for (std::size_t v = 0; v < nv; ++v) {
+    PIT_CHECK(values_[v].alias_of < 0 || !padded(root_[v]),
+              "NetBuilder: flatten of a conv-consumed (padded) value is "
+              "not supported");
+  }
+  // Ops that can only write dense rows must not produce padded values,
+  // and ops that can only read dense rows must not consume them — catch
+  // both at compile time rather than on the first forward().
+  for (const detail::Op& op : ops_) {
+    if (op.kind == detail::OpKind::kLinear ||
+        (op.kind == detail::OpKind::kConv && !detail::packed_conv(op))) {
+      PIT_CHECK(!padded(root(op.out)),
+                "NetBuilder: a strided conv / linear cannot feed a packed "
+                "conv directly");
+      PIT_CHECK(!padded(root(op.in0)),
+                "NetBuilder: a strided conv / linear cannot read a value "
+                "that also feeds a packed conv");
+    }
+  }
+  prog.stride.assign(nv, 0);
+  for (std::size_t v = 0; v < nv; ++v) {
+    prog.stride[v] = prog.lead[v] + values_[v].steps + prog.slack[v];
+  }
+
+  // Arena: one request per produced root (the output lives in the
+  // returned tensor), plus the input when it is staged — a padded or
+  // converted input cannot alias the caller's dense float tensor, so the
+  // executor copies it into the arena, live from before op 0 until its
+  // last reader.
+  const bool staged = Data::kAlwaysStage || padded(in_root);
+  std::vector<ArenaRequest> requests;
+  std::vector<std::size_t> request_root;
+  for (std::size_t v = 0; v < nv; ++v) {
+    const index_t size = detail::Program<T>::row_groups(values_[v].channels) *
+                         Data::kGroup * prog.stride[v];
+    if (v == in_root && staged) {
+      requests.push_back({size, 0, std::max(last[v], 0)});
+    } else if (root_[v] == static_cast<ValueId>(v) && v != out_root &&
+               def[v] >= 0) {
+      requests.push_back({size, def[v], std::max(last[v], def[v])});
+    } else {
+      continue;  // alias, external buffer, or never produced
+    }
+    request_root.push_back(v);
+  }
+  const ArenaPlan plan = plan_arena(requests);
+  prog.offset.assign(nv, -1);
+  for (std::size_t r = 0; r < request_root.size(); ++r) {
+    prog.offset[request_root[r]] = plan.offsets[r];
+  }
+  prog.arena = plan.total;
+
+  prog.stream = streamable_
+                    ? detail::stream_layout(ops_, values_, root_, Data::kGroup)
+                    : detail::StreamLayout{};
+}
+
+template void CompiledPlan::plan_layout(detail::Program<float>&) const;
+template void CompiledPlan::plan_layout(detail::Program<std::uint8_t>&) const;
+
+detail::StreamLayout detail::stream_layout(const std::vector<Op>& ops,
+                                           const std::vector<Value>& values,
+                                           const std::vector<ValueId>& root,
+                                           index_t group) {
+  // Rows of a group-interleaved vector: channels rounded up to the group.
+  const auto lanes = [group](index_t channels) {
+    return (channels + group - 1) / group * group;
+  };
+  StreamLayout s;
+  s.ring_off.assign(ops.size(), -1);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == OpKind::kConv) {
+      s.ring_off[i] = s.ring;
+      s.ring += lanes(ops[i].c_in) * ring_span(ops[i]);
+    }
+  }
+  s.vec_off.assign(values.size(), -1);
+  for (std::size_t v = 0; v < values.size(); ++v) {
+    if (root[v] == static_cast<ValueId>(v)) {
+      s.vec_off[v] = s.vecs;
+      s.vecs += lanes(values[v].channels);
+    }
+  }
+  return s;
 }
 
 // ---- CompiledPlan introspection ------------------------------------------
@@ -451,13 +466,19 @@ index_t CompiledPlan::output_steps() const {
 }
 
 double CompiledPlan::quant_error_bound() const {
-  PIT_CHECK(quantized_, "quant_error_bound: plan is not quantized");
-  return q_error_bound_;
+  PIT_CHECK(u8_, "quant_error_bound: plan is not quantized");
+  return u8_->error_bound;
 }
 
 double CompiledPlan::quant_error_estimate() const {
-  PIT_CHECK(quantized_, "quant_error_estimate: plan is not quantized");
-  return q_error_estimate_;
+  PIT_CHECK(u8_, "quant_error_estimate: plan is not quantized");
+  return u8_->error_estimate;
+}
+
+const std::vector<quant::QuantParams>& CompiledPlan::activation_quant_params()
+    const {
+  static const std::vector<quant::QuantParams> kNone;
+  return u8_ ? u8_->qparams : kNone;
 }
 
 index_t CompiledPlan::OpInfo::macs() const {
@@ -499,8 +520,8 @@ index_t CompiledPlan::activation_floats_per_sample() const {
   // what the arena would need without liveness reuse.
   index_t total = 0;
   for (std::size_t v = 0; v < values_.size(); ++v) {
-    if (root_[v] == static_cast<ValueId>(v) && offsets_[v] >= 0) {
-      total += values_[v].channels * stride_[v];
+    if (fp32_.offset[v] >= 0) {
+      total += values_[v].channels * fp32_.stride[v];
     }
   }
   return total;
@@ -547,21 +568,21 @@ std::string CompiledPlan::summary() const {
   std::ostringstream os;
   os << "CompiledPlan: " << ops_.size() << " ops, "
      << param_floats() << " packed param floats, arena "
-     << arena_per_sample_ << " floats/sample (unplanned: "
+     << fp32_.arena << " floats/sample (unplanned: "
      << activation_floats_per_sample() << ")"
      << (streamable_ ? ", streamable" : "") << "\n";
-  if (quantized_) {
+  if (u8_) {
     os << "  int8 program: " << quant_weight_bytes()
-       << " packed weight bytes, "
-       << q_arena_bytes_ << " arena bytes/sample, output error bound "
-       << q_error_bound_ << " (rms estimate " << q_error_estimate_ << ")\n";
+       << " packed weight bytes, " << u8_->arena
+       << " arena bytes/sample, output error bound " << u8_->error_bound
+       << " (rms estimate " << u8_->error_estimate << ")\n";
   }
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     const detail::Op& op = ops_[i];
     os << "  #" << i << " ";
     print_op_head(os, op);
     const ValueId r = root_[static_cast<std::size_t>(op.out)];
-    const index_t off = offsets_[static_cast<std::size_t>(r)];
+    const index_t off = fp32_.offset[static_cast<std::size_t>(r)];
     if (off >= 0) {
       os << " @" << off;
     } else {
@@ -574,11 +595,11 @@ std::string CompiledPlan::summary() const {
 
 std::string CompiledPlan::describe() const {
   std::ostringstream os;
-  os << "CompiledPlan bindings (" << (quantized_ ? "int8" : "fp32")
+  os << "CompiledPlan bindings (" << (u8_ ? "int8" : "fp32")
      << " program):\n";
-  if (quantized_ && qstage_meta_ != nullptr) {
+  if (u8_ && u8_->stage_meta != nullptr) {
     os << "  input stage";
-    print_kernel(os, "kernel", qstage_meta_);
+    print_kernel(os, "kernel", u8_->stage_meta);
     os << "\n";
   }
   for (std::size_t i = 0; i < ops_.size(); ++i) {
@@ -589,9 +610,9 @@ std::string CompiledPlan::describe() const {
     // Quantized plans execute the int8 lowering — report what actually
     // runs; the fp32 bindings still exist but only serve reference runs.
     const nn::kernels::KernelMeta* meta =
-        quantized_ ? qops_[i].bind.meta : op.bind.meta;
+        u8_ ? u8_->ops[i].bind.meta : fp32_.ops[i].bind.meta;
     const nn::kernels::KernelMeta* step_meta =
-        quantized_ ? qops_[i].bind.step_meta : op.bind.step_meta;
+        u8_ ? u8_->ops[i].bind.step_meta : fp32_.ops[i].bind.step_meta;
     print_kernel(os, "kernel", meta);
     if (streamable_ && op.kind == detail::OpKind::kConv) {
       print_kernel(os, "step", step_meta);

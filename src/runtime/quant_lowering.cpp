@@ -1,8 +1,10 @@
 // Int8 lowering of a CompiledPlan: calibration, per-value quantization
-// parameters, byte-arena planning, per-op requantize-constant emission,
-// error propagation, and the lowering-time kernel binding that resolves
-// every quantized op to a concrete registry kernel exactly once.
-// Execution lives in executor_i8.cpp / executor_stream_i8.cpp.
+// parameters, the u8 program's layout (through the same planner as the
+// fp32 program: CompiledPlan::plan_layout), per-op requantize-constant
+// emission, error propagation, and the lowering-time kernel binding that
+// resolves every quantized op to a concrete registry kernel exactly once.
+// Execution lives in the shared executors, executor_batched.cpp and
+// executor_step.cpp.
 #include "runtime/quantize_plan.hpp"
 
 #include <algorithm>
@@ -24,8 +26,8 @@ using nn::kernels::kQuantCo;
 using nn::kernels::quant_groups;
 }  // namespace
 
-/// Friend of CompiledPlan: builds the int8 program onto a copy of the
-/// fp32 plan, and runs the per-layer fp32-vs-int8 comparison.
+/// Friend of CompiledPlan: builds the u8 program onto a copy of the fp32
+/// plan, and runs the per-layer fp32-vs-int8 comparison.
 class QuantizedCompiler {
  public:
   static std::shared_ptr<const CompiledPlan> quantize(
@@ -67,15 +69,14 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
   // Only the stride-1 packed conv path is lowered (every conv of the
   // reference TCNs after freezing; strided downsampling happens in pools).
   for (const detail::Op& op : src.ops_) {
-    PIT_CHECK(op.kind != detail::OpKind::kConv || (op.packed &&
-                                                   op.stride == 1),
+    PIT_CHECK(op.kind != detail::OpKind::kConv || detail::packed_conv(op),
               "quantize_plan: strided convs have no int8 lowering");
   }
 
   // ---- calibrate ---------------------------------------------------------
-  const std::size_t nsrc_values = src.values_.size();
+  const std::size_t nvals = src.values_.size();
   std::vector<quant::RangeObserver> observers(
-      nsrc_values, quant::RangeObserver(options.observer));
+      nvals, quant::RangeObserver(options.observer));
   const CompiledPlan::ValueHook hook =
       [&](ValueId v, const float* data, index_t rows, index_t steps,
           index_t stride) {
@@ -97,47 +98,31 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
   {
     ExecutionContext cctx;
     for (index_t bi = 0; bi < batches; ++bi) {
-      src.forward_fp32(calib.batch(bi).inputs, cctx, &hook);
+      src.run_batched(src.fp32_, calib.batch(bi).inputs, cctx, &hook);
     }
   }
 
-  CompiledPlan q(src);
-  q.quantized_ = true;
+  // The u8 program goes onto a copy whose fp32 program stays intact.
   // Streamability survives the lowering: a stride-1-conv/add plan streams
-  // its int8 program through u8 ring buffers (layout planned below).
-
-  const auto in_root =
-      static_cast<std::size_t>(q.root_[static_cast<std::size_t>(q.input_)]);
-  const auto out_root =
-      static_cast<std::size_t>(q.root_[static_cast<std::size_t>(q.output_)]);
-
-  // The input is always staged (dtype conversion); reuse the fp32 staging
-  // value when one exists, otherwise append one. Appended entries extend
-  // every per-value array so the retained fp32 program stays consistent.
-  if (q.input_stage_ >= 0) {
-    q.q_stage_ = q.input_stage_;
-  } else {
-    const detail::Value in_value = q.values_[in_root];
-    q.q_stage_ = static_cast<ValueId>(q.values_.size());
-    q.values_.push_back({in_value.channels, in_value.steps, -1});
-    q.root_.push_back(q.q_stage_);
-    q.lead_.push_back(0);
-    q.slack_.push_back(0);
-    q.stride_.push_back(in_value.steps);
-    q.offsets_.push_back(-1);
-  }
-  const std::size_t nvals = q.values_.size();
-  const auto stage = static_cast<std::size_t>(q.q_stage_);
+  // its u8 program through the rings plan_layout() lays out.
+  CompiledPlan q(src);
+  detail::Program<std::uint8_t>& u8 = q.u8_.emplace();
+  q.plan_layout(u8);
+  const auto root = [&](ValueId v) {
+    return static_cast<std::size_t>(q.root_[static_cast<std::size_t>(v)]);
+  };
+  const std::size_t in_root = root(q.input_);
+  const std::size_t out_root = root(q.output_);
 
   // ---- per-value quantization parameters and clip error ------------------
-  q.qvalue_.assign(nvals, quant::QuantParams{});
+  u8.qparams.assign(nvals, quant::QuantParams{});
   std::vector<double> clip_err(nvals, 0.0);
   std::vector<double> xmax(nvals, 0.0);
-  for (std::size_t v = 0; v < nsrc_values; ++v) {
-    if (src.root_[v] != static_cast<ValueId>(v) || !observers[v].seen()) {
+  for (std::size_t v = 0; v < nvals; ++v) {
+    if (q.root_[v] != static_cast<ValueId>(v) || !observers[v].seen()) {
       continue;
     }
-    q.qvalue_[v] = observers[v].affine_u8_params();
+    u8.qparams[v] = observers[v].affine_u8_params();
     float lo = 0.0F;
     float hi = 0.0F;
     observers[v].calibrated_range(&lo, &hi);
@@ -147,121 +132,30 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
     xmax[v] = std::max(std::fabs(static_cast<double>(observers[v].min())),
                        std::fabs(static_cast<double>(observers[v].max())));
   }
-  // Propagate to aliases (reporting convenience) and the staging value.
-  for (std::size_t v = 0; v < nsrc_values; ++v) {
-    const auto r = static_cast<std::size_t>(src.root_[v]);
-    if (r != v) {
-      q.qvalue_[v] = q.qvalue_[r];
-    }
-  }
-  q.qvalue_[stage] = q.qvalue_[in_root];
-  clip_err[stage] = clip_err[in_root];
-  xmax[stage] = xmax[in_root];
-
-  // ---- byte-row layout: zero-point lead before every conv input ----------
-  q.q_lead_.assign(nvals, 0);
-  const auto qroot = [&](ValueId v) -> std::size_t {
-    auto r = static_cast<std::size_t>(q.root_[static_cast<std::size_t>(v)]);
-    return r == in_root ? stage : r;
-  };
-  for (const detail::Op& op : q.ops_) {
-    if (op.kind == detail::OpKind::kConv) {
-      const std::size_t r = qroot(op.in0);
-      q.q_lead_[r] =
-          std::max(q.q_lead_[r], (op.k - 1) * op.dilation);
-    }
-  }
+  // Propagate to aliases (reporting convenience).
   for (std::size_t v = 0; v < nvals; ++v) {
-    if (q.values_[v].alias_of >= 0) {
-      PIT_CHECK(q.q_lead_[qroot(static_cast<ValueId>(v))] == 0,
-                "quantize_plan: flatten of a conv-consumed value is not "
-                "supported");
-    }
-  }
-  q.q_stride_.assign(nvals, 0);
-  for (std::size_t v = 0; v < nvals; ++v) {
-    q.q_stride_[v] = q.q_lead_[v] + q.values_[v].steps;
-  }
-
-  // ---- liveness + byte arena (same planner as the fp32 arena) ------------
-  std::vector<int> def(nvals, -1);
-  std::vector<int> last(nvals, -1);
-  for (std::size_t i = 0; i < q.ops_.size(); ++i) {
-    const detail::Op& op = q.ops_[i];
-    const auto touch = [&](ValueId v, std::vector<int>& slot) {
-      if (v >= 0) {
-        slot[qroot(v)] = static_cast<int>(i);
-      }
-    };
-    touch(op.in0, last);
-    touch(op.in1, last);
-    touch(op.out, def);
-  }
-  std::vector<ArenaRequest> requests;
-  std::vector<std::size_t> request_root;
-  // Staging block: live from before op 0 until the last input reader.
-  requests.push_back({quant_groups(q.values_[stage].channels) *
-                          kQuantCiGroup * q.q_stride_[stage],
-                      0, std::max(last[stage], 0)});
-  request_root.push_back(stage);
-  for (std::size_t v = 0; v < nvals; ++v) {
-    if (q.root_[v] != static_cast<ValueId>(v) || v == stage ||
-        v == out_root || def[v] < 0) {
-      continue;
-    }
-    requests.push_back({quant_groups(q.values_[v].channels) *
-                            kQuantCiGroup * q.q_stride_[v],
-                        def[v], std::max(last[v], def[v])});
-    request_root.push_back(v);
-  }
-  const ArenaPlan arena = plan_arena(requests);
-  q.q_off_.assign(nvals, -1);
-  for (std::size_t r = 0; r < request_root.size(); ++r) {
-    q.q_off_[request_root[r]] = arena.offsets[r];
-  }
-  q.q_arena_bytes_ = arena.total;
-
-  // ---- streaming layout: per-conv u8 rings + single-step quad vectors ----
-  if (q.streamable_) {
-    q.q_ring_off_.assign(q.ops_.size(), -1);
-    for (std::size_t i = 0; i < q.ops_.size(); ++i) {
-      const detail::Op& op = q.ops_[i];
-      if (op.kind == detail::OpKind::kConv) {
-        q.q_ring_off_[i] = q.q_ring_bytes_;
-        q.q_ring_bytes_ += quant_groups(op.c_in) *
-                           ((op.k - 1) * op.dilation + 1) * kQuantCiGroup;
-      }
-    }
-    q.q_val_off_.assign(nvals, -1);
-    for (std::size_t v = 0; v < nvals; ++v) {
-      if (q.root_[v] == static_cast<ValueId>(v)) {
-        q.q_val_off_[v] = q.q_val_bytes_;
-        q.q_val_bytes_ +=
-            quant_groups(q.values_[v].channels) * kQuantCiGroup;
-      }
-    }
+    u8.qparams[v] = u8.qparams[root(static_cast<ValueId>(v))];
   }
 
   // ---- per-op lowering + error propagation -------------------------------
   std::vector<double> bound(nvals, 0.0);   // worst-case |int8 - fp32|
   std::vector<double> var(nvals, 0.0);     // RMS model variance
   {
-    const double s_in = q.qvalue_[stage].scale;
-    bound[stage] = s_in / 2.0 + clip_err[stage];
-    var[stage] = s_in * s_in / 12.0;
-    bound[in_root] = bound[stage];
-    var[in_root] = var[stage];
+    const double s_in = u8.qparams[in_root].scale;
+    bound[in_root] = s_in / 2.0 + clip_err[in_root];
+    var[in_root] = s_in * s_in / 12.0;
   }
 
-  q.qops_.assign(q.ops_.size(), detail::QuantOp{});
+  u8.ops.assign(q.ops_.size(), detail::QuantOp{});
   for (std::size_t i = 0; i < q.ops_.size(); ++i) {
     const detail::Op& op = q.ops_[i];
-    detail::QuantOp& qop = q.qops_[i];
-    const std::size_t rin = qroot(op.in0);
-    const std::size_t rout = qroot(op.out);
+    const detail::F32Op& f32 = q.fp32_.ops[i];
+    detail::QuantOp& qop = u8.ops[i];
+    const std::size_t rin = root(op.in0);
+    const std::size_t rout = root(op.out);
     qop.out_float = rout == out_root;
-    const quant::QuantParams px = q.qvalue_[rin];
-    const quant::QuantParams py = q.qvalue_[rout];
+    const quant::QuantParams px = u8.qparams[rin];
+    const quant::QuantParams py = u8.qparams[rout];
     const double e_in = bound[rin];
     const double e_store =
         qop.out_float ? 0.0 : py.scale / 2.0 + clip_err[rout];
@@ -278,7 +172,7 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
       // Recover the folded float weights from the fp32 program.
       const index_t cnt = op.c_in * (is_conv ? op.k : 1);
       index_t f4 = cnt;  // quantized feature count (pad lanes included)
-      const float* wsrc = q.params_.data(op.w_blk);
+      const float* wsrc = q.fp32_.params.data(f32.w_blk);
       std::vector<float> w(static_cast<std::size_t>(op.c_out * cnt));
       if (is_conv) {
         // Undo the fp32 inference packing: wp[(ci*k + i)*co_r4 + co].
@@ -296,10 +190,8 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
       } else {
         // Permute the dense (o, f) columns into the flattened C4 byte
         // order of the input value (pad lanes get zero columns).
-        const auto rv = static_cast<std::size_t>(
-            q.root_[static_cast<std::size_t>(op.in0)]);
-        const index_t c_r = q.values_[rv].channels;
-        const index_t t_r = q.values_[rv].steps;
+        const index_t c_r = q.values_[rin].channels;
+        const index_t t_r = q.values_[rin].steps;
         PIT_CHECK(op.c_in == c_r * t_r,
                   "quantize_plan: linear features " << op.c_in
                                                     << " != " << c_r << "x"
@@ -370,18 +262,16 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
       std::vector<std::int8_t> packed(static_cast<std::size_t>(
           nn::kernels::packed_weight_bytes_i8(wd)));
       nn::kernels::pack_conv_weight_i8(wq.data(), wd, packed.data());
-      qop.w_blk = q.qweights_.add(std::move(packed), options.pool);
+      qop.w_blk = u8.weights.add(std::move(packed), options.pool);
 
       const index_t co_round =
           (op.c_out + kQuantCo - 1) / kQuantCo * kQuantCo;
-      qop.m_off = static_cast<index_t>(q.qconsts_.size());
-      q.qconsts_.resize(q.qconsts_.size() +
-                        static_cast<std::size_t>(co_round));
-      qop.b_off = static_cast<index_t>(q.qconsts_.size());
-      q.qconsts_.resize(q.qconsts_.size() +
-                        static_cast<std::size_t>(co_round));
-      float* mv = q.qconsts_.data() + qop.m_off;
-      float* bv = q.qconsts_.data() + qop.b_off;
+      qop.m_off = static_cast<index_t>(u8.consts.size());
+      qop.b_off = qop.m_off + co_round;
+      u8.consts.resize(u8.consts.size() +
+                       2 * static_cast<std::size_t>(co_round));
+      float* mv = u8.consts.data() + qop.m_off;
+      float* bv = u8.consts.data() + qop.b_off;
       for (index_t co = 0; co < co_round; ++co) {
         if (co >= op.c_out) {
           mv[co] = 0.0F;
@@ -390,7 +280,7 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
           continue;
         }
         const float bias =
-            op.b_blk >= 0 ? q.params_.data(op.b_blk)[co] : 0.0F;
+            f32.b_blk >= 0 ? q.fp32_.params.data(f32.b_blk)[co] : 0.0F;
         const float sw = s_w[static_cast<std::size_t>(co)];
         const auto ws =
             static_cast<float>(wsum[static_cast<std::size_t>(co)]);
@@ -419,8 +309,8 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
       bound[rout] = e_in + e_store;
       var[rout] = var[rin] + var_store;
     } else {  // kAdd
-      const std::size_t rb = qroot(op.in1);
-      const quant::QuantParams pb = q.qvalue_[rb];
+      const std::size_t rb = root(op.in1);
+      const quant::QuantParams pb = u8.qparams[rb];
       if (qop.out_float) {
         qop.a_mul = px.scale;
         qop.b_mul = pb.scale;
@@ -445,12 +335,12 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
   const auto& reg = nn::kernels::Registry::instance();
   {
     const auto stage_k = reg.stage_i8();
-    q.qstage_fn_ = stage_k.fn;
-    q.qstage_meta_ = stage_k.meta;
+    u8.stage_fn = stage_k.fn;
+    u8.stage_meta = stage_k.meta;
   }
   for (std::size_t i = 0; i < q.ops_.size(); ++i) {
     const detail::Op& op = q.ops_[i];
-    detail::QuantOp& qop = q.qops_[i];
+    detail::QuantOp& qop = u8.ops[i];
     switch (op.kind) {
       case detail::OpKind::kConv: {
         const nn::kernels::ConvSig sig{op.k, op.c_in, op.c_out};
@@ -465,8 +355,7 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
       case detail::OpKind::kLinear: {
         // The i8 linear is the k = 1, t = 1 case of the quantized conv
         // (one contiguous run of f4 feature quads) — bind that signature.
-        const auto rv = static_cast<std::size_t>(
-            q.root_[static_cast<std::size_t>(op.in0)]);
+        const std::size_t rv = root(op.in0);
         const index_t f4 = quant_groups(q.values_[rv].channels) *
                            kQuantCiGroup * q.values_[rv].steps;
         const auto lin = reg.conv_packed_i8({1, f4, op.c_out});
@@ -491,9 +380,9 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
     }
   }
 
-  q.q_value_bound_ = bound;
-  q.q_error_bound_ = bound[out_root];
-  q.q_error_estimate_ = std::sqrt(var[out_root]);
+  u8.error_bound = bound[out_root];
+  u8.error_estimate = std::sqrt(var[out_root]);
+  u8.value_bound = std::move(bound);
 
   // Re-prove the full memory model over the lowered program: the fp32
   // layouts survived intact AND the int8 byte arena / bindings hold.
@@ -503,7 +392,8 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
 
 std::vector<QuantLayerDelta> QuantizedCompiler::compare(
     const CompiledPlan& q, const Tensor& input) {
-  PIT_CHECK(q.quantized_, "compare_quantized_layers: plan is not quantized");
+  PIT_CHECK(q.u8_, "compare_quantized_layers: plan is not quantized");
+  const detail::Program<std::uint8_t>& u8 = *q.u8_;
   std::unordered_map<ValueId, std::vector<float>> reference;
   const CompiledPlan::ValueHook capture =
       [&](ValueId v, const float* data, index_t rows, index_t steps,
@@ -516,7 +406,7 @@ std::vector<QuantLayerDelta> QuantizedCompiler::compare(
         }
       };
   ExecutionContext ref_ctx;
-  q.forward_fp32(input, ref_ctx, &capture);
+  q.run_batched(q.fp32_, input, ref_ctx, &capture);
 
   std::vector<QuantLayerDelta> deltas;
   std::unordered_map<ValueId, std::size_t> op_of;
@@ -548,12 +438,12 @@ std::vector<QuantLayerDelta> QuantizedCompiler::compare(
         d.max_abs_err = worst;
         d.mean_abs_err =
             total / static_cast<double>(std::max<index_t>(rows * steps, 1));
-        d.bound = q.q_value_bound_[static_cast<std::size_t>(
+        d.bound = u8.value_bound[static_cast<std::size_t>(
             q.root_[static_cast<std::size_t>(v)])];
         deltas.push_back(d);
       };
   ExecutionContext q_ctx;
-  q.forward_quantized(input, q_ctx, &compare_hook);
+  q.run_batched(u8, input, q_ctx, &compare_hook);
   std::sort(deltas.begin(), deltas.end(),
             [](const QuantLayerDelta& a, const QuantLayerDelta& b) {
               return a.op < b.op;

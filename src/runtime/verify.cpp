@@ -1,13 +1,15 @@
 // Static verification pass over the compiled-plan IR. See verify.hpp for
-// the invariant families; this TU re-derives each layout from the op list
-// (the same arithmetic plan_builder.cpp / quant_lowering.cpp used to build
-// it) and reports every divergence as a structured Issue.
+// the invariant families; this TU re-derives each program's layout from
+// the op list — one row-layout, one arena, and one streaming check, run
+// once per program (fp32, and u8 when quantized) — and reports every
+// divergence as a structured Issue.
 #include "runtime/verify.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 
 #include "nn/kernels/registry.hpp"
 #include "runtime/compiled_net.hpp"
@@ -94,26 +96,22 @@ class PlanVerifier {
       return std::move(report_);  // per-value arrays unusable; stop here
     }
     check_shapes();
-    check_row_layout();
-    check_arena();
-    check_footprints();
+    check_program(p_.fp32_);
     check_param_pool();
     check_bindings();
-    check_streaming();
-    if (p_.quantized_) {
-      check_quant_layout();
-      check_quant_arena();
-      check_quant_params();
-      check_quant_pools();
-      check_quant_bindings();
-      check_quant_streaming();
+    if (p_.u8_) {
+      const detail::Program<std::uint8_t>& u8 = *p_.u8_;
+      check_program(u8);
+      check_quant_params(u8);
+      check_quant_pools(u8);
+      check_quant_bindings(u8);
     }
     return std::move(report_);
   }
 
  private:
-  // One live arena region: a storage root's planned byte/float block over
-  // its inclusive op lifetime.
+  // One live arena region: a storage root's planned block over its
+  // inclusive op lifetime.
   struct Region {
     ValueId root = -1;
     long long lo = 0, hi = 0;  // half-open offset range
@@ -134,53 +132,44 @@ class PlanVerifier {
     return v >= 0 && v < static_cast<ValueId>(p_.values_.size());
   }
 
-  ValueId root(ValueId v) const {
-    return p_.root_[static_cast<std::size_t>(v)];
-  }
-
-  // Storage root a packed conv actually reads at run time: the input
-  // resolves to its padded staging value when one exists (the executor's
-  // span() substitution).
-  ValueId fp32_read_root(ValueId v) const {
-    ValueId r = root(v);
-    if (r == root(p_.input_) && p_.input_stage_ >= 0) {
-      r = p_.input_stage_;
-    }
-    return r;
-  }
-
-  std::size_t qroot(ValueId v) const {
-    auto r = static_cast<std::size_t>(root(v));
-    return r == static_cast<std::size_t>(root(p_.input_))
-               ? static_cast<std::size_t>(p_.q_stage_)
-               : r;
+  std::size_t root(ValueId v) const {
+    return static_cast<std::size_t>(p_.root_[static_cast<std::size_t>(v)]);
   }
 
   // ---- structure: ids in range, per-value/per-op arrays sized ------------
-  bool check_structure() {
-    const auto nv = p_.values_.size();
-    const auto no = p_.ops_.size();
-    bool ok = true;
+  template <typename T>
+  void check_sizes(const detail::Program<T>& prog, bool& ok) {
     const auto sized = [&](std::size_t got, std::size_t want,
                            const char* name) {
       if (got != want) {
         std::ostringstream os;
-        os << name << " holds " << got << " entries for " << want;
+        os << detail::ProgramData<T>::kName << ' ' << name << " holds "
+           << got << " entries for " << want;
         issue(Invariant::kLayout, -1, -1, os.str());
         ok = false;
       }
     };
-    sized(p_.root_.size(), nv, "root_");
-    sized(p_.offsets_.size(), nv, "offsets_");
-    sized(p_.lead_.size(), nv, "lead_");
-    sized(p_.slack_.size(), nv, "slack_");
-    sized(p_.stride_.size(), nv, "stride_");
-    if (p_.quantized_) {
-      sized(p_.qops_.size(), no, "qops_");
-      sized(p_.qvalue_.size(), nv, "qvalue_");
-      sized(p_.q_lead_.size(), nv, "q_lead_");
-      sized(p_.q_stride_.size(), nv, "q_stride_");
-      sized(p_.q_off_.size(), nv, "q_off_");
+    const std::size_t nv = p_.values_.size();
+    sized(prog.offset.size(), nv, "offset");
+    sized(prog.lead.size(), nv, "lead");
+    sized(prog.slack.size(), nv, "slack");
+    sized(prog.stride.size(), nv, "stride");
+    sized(prog.ops.size(), p_.ops_.size(), "ops");
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      sized(prog.qparams.size(), nv, "qparams");
+    }
+  }
+
+  bool check_structure() {
+    const auto nv = p_.values_.size();
+    const auto no = p_.ops_.size();
+    bool ok = p_.root_.size() == nv;
+    if (!ok) {
+      issue(Invariant::kLayout, -1, -1, "root_ is not sized per value");
+    }
+    check_sizes(p_.fp32_, ok);
+    if (p_.u8_) {
+      check_sizes(*p_.u8_, ok);
     }
     if (no == 0 || !value_ok(p_.input_) || !value_ok(p_.output_)) {
       issue(Invariant::kLayout, -1, -1,
@@ -219,13 +208,14 @@ class PlanVerifier {
   void check_shapes() {
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
       const detail::Op& op = p_.ops_[i];
+      const int oi = static_cast<int>(i);
       const detail::Value& in = p_.values_[static_cast<std::size_t>(op.in0)];
       const detail::Value& out = p_.values_[static_cast<std::size_t>(op.out)];
       const auto shape_issue = [&](const char* what) {
         std::ostringstream os;
         os << what << " (op geometry " << op.c_in << "->" << op.c_out << " t"
            << op.t_in << "->" << op.t_out << ")";
-        issue(Invariant::kLayout, static_cast<int>(i), op.out, os.str());
+        issue(Invariant::kLayout, oi, op.out, os.str());
       };
       if (out.channels != op.c_out || out.steps != op.t_out) {
         shape_issue("output value shape disagrees with the op");
@@ -252,6 +242,14 @@ class PlanVerifier {
               op.t_out != (op.t_in - op.k) / op.stride + 1) {
             shape_issue("avg_pool geometry disagrees with its values");
           }
+          if ((op.t_out - 1) * op.stride + op.k > op.t_in) {
+            std::ostringstream os;
+            os << "pool window reads past t_in: (t_out-1)*stride + k = "
+               << (op.t_out - 1) * op.stride + op.k << " > " << op.t_in;
+            issue(Invariant::kFootprint, oi, op.in0, 0,
+                  (op.t_out - 1) * op.stride + op.k, 0, op.t_in, {},
+                  os.str());
+          }
           break;
         case detail::OpKind::kAdd: {
           const detail::Value& in1 =
@@ -263,40 +261,84 @@ class PlanVerifier {
           break;
         }
       }
-    }
-  }
-
-  // ---- fp32 row layout bookkeeping ---------------------------------------
-  void check_row_layout() {
-    for (std::size_t v = 0; v < p_.values_.size(); ++v) {
-      if (p_.lead_[v] < 0 || p_.slack_[v] < 0 ||
-          p_.stride_[v] !=
-              p_.lead_[v] + p_.values_[v].steps + p_.slack_[v]) {
-        std::ostringstream os;
-        os << "row stride " << p_.stride_[v] << " != lead " << p_.lead_[v]
-           << " + steps " << p_.values_[v].steps << " + slack "
-           << p_.slack_[v];
-        issue(Invariant::kLayout, -1, static_cast<int>(v), os.str());
+      if (p_.streamable_ && !detail::packed_conv(op) &&
+          op.kind != detail::OpKind::kAdd) {
+        issue(Invariant::kRing, oi, -1,
+              "plan is marked streamable but this op cannot stream");
       }
     }
   }
 
-  // Recomputes per-root inclusive [def, last] lifetimes through `to_root`.
-  template <typename RootFn>
-  void liveness(RootFn to_root, std::vector<int>& def,
-                std::vector<int>& last) const {
-    def.assign(p_.values_.size(), -1);
-    last.assign(p_.values_.size(), -1);
+  // ---- one program's layout: rows, arena, streaming ---------------------
+  template <typename T>
+  void check_program(const detail::Program<T>& prog) {
+    check_row_layout(prog);
+    check_arena(prog);
+    check_streaming(prog);
+  }
+
+  // Row bookkeeping, input staging, and kernel footprint containment.
+  template <typename T>
+  void check_row_layout(const detail::Program<T>& prog) {
+    using Data = detail::ProgramData<T>;
+    constexpr bool kFloat = std::is_same_v<T, float>;
+    for (std::size_t v = 0; v < p_.values_.size(); ++v) {
+      if (prog.lead[v] < 0 || prog.slack[v] < 0 ||
+          prog.stride[v] !=
+              prog.lead[v] + p_.values_[v].steps + prog.slack[v]) {
+        std::ostringstream os;
+        os << Data::kName << " row stride " << prog.stride[v] << " != lead "
+           << prog.lead[v] << " + steps " << p_.values_[v].steps
+           << " + slack " << prog.slack[v];
+        issue(Invariant::kLayout, -1, static_cast<int>(v), os.str());
+      }
+    }
+    const std::size_t in_root = root(p_.input_);
+    if (Data::kAlwaysStage && prog.offset[in_root] < 0) {
+      issue(Invariant::kLayout, -1, static_cast<int>(in_root),
+            "u8 program does not stage its input into the arena");
+    }
+    const auto dense = [&](std::size_t r) {
+      return prog.lead[r] == 0 && prog.slack[r] == 0;
+    };
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
       const detail::Op& op = p_.ops_[i];
-      const auto touch = [&](ValueId v, std::vector<int>& slot) {
-        if (v >= 0) {
-          slot[to_root(v)] = static_cast<int>(i);
+      const int oi = static_cast<int>(i);
+      const std::size_t rin = root(op.in0);
+      if (detail::packed_conv(op)) {
+        // The kernel reads its causal look-back from the lead and its tile
+        // overreach from the slack; an external (unstaged) row has
+        // neither, which only the fp32 kernel's clamped path tolerates.
+        const bool staged = prog.offset[rin] >= 0;
+        const nn::kernels::ConvSig sig{op.k, op.c_in, op.c_out};
+        KernelFootprint fp;
+        if constexpr (kFloat) {
+          fp = Registry::conv_packed_f32_footprint(sig, op.dilation, staged);
+        } else {
+          fp = Registry::conv_packed_i8_footprint(sig, op.dilation);
         }
-      };
-      touch(op.in0, last);
-      touch(op.in1, last);
-      touch(op.out, def);
+        const index_t before = staged ? Data::kGroup * prog.lead[rin] : 0;
+        const index_t after = staged ? Data::kGroup * prog.slack[rin] : 0;
+        if (before < fp.read_before || after < fp.read_after) {
+          std::ostringstream os;
+          os << Data::kName << " packed conv reads " << fp.read_before
+             << " elements before and " << fp.read_after
+             << " after each input row, the row holds " << before << " / "
+             << after;
+          issue(Invariant::kFootprint, oi, static_cast<int>(rin), before,
+                after, fp.read_before, fp.read_after,
+                kFloat ? "conv.packed.f32" : "conv.packed.i8", os.str());
+        }
+      } else if ((op.kind == detail::OpKind::kConv ||
+                  op.kind == detail::OpKind::kLinear) &&
+                 (!dense(rin) || !dense(root(op.out)))) {
+        const bool linear = op.kind == detail::OpKind::kLinear;
+        issue(Invariant::kFootprint, oi, static_cast<int>(rin), 0, 0, 0, 0,
+              linear ? (kFloat ? "linear.f32" : "conv.packed.i8")
+                     : "conv.train.f32",
+              "strided conv / linear requires dense (unpadded) operand "
+              "rows");
+      }
     }
   }
 
@@ -332,33 +374,42 @@ class PlanVerifier {
     }
   }
 
-  // ---- fp32 arena non-aliasing -------------------------------------------
-  void check_arena() {
-    std::vector<int> def;
-    std::vector<int> last;
-    liveness([&](ValueId v) { return static_cast<std::size_t>(root(v)); },
-             def, last);
-    const ValueId in_root = root(p_.input_);
-    const ValueId out_root = root(p_.output_);
+  // Arena non-aliasing: re-derives every root's lifetime from the op list.
+  template <typename T>
+  void check_arena(const detail::Program<T>& prog) {
+    constexpr bool kFloat = std::is_same_v<T, float>;
+    const std::size_t nv = p_.values_.size();
+    std::vector<int> def(nv, -1);
+    std::vector<int> last(nv, -1);
+    for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
+      const detail::Op& op = p_.ops_[i];
+      if (op.in1 >= 0) {
+        last[root(op.in1)] = static_cast<int>(i);
+      }
+      last[root(op.in0)] = static_cast<int>(i);
+      def[root(op.out)] = static_cast<int>(i);
+    }
+    const std::size_t in_root = root(p_.input_);
+    const std::size_t out_root = root(p_.output_);
     std::vector<Region> regions;
-    for (std::size_t v = 0; v < p_.values_.size(); ++v) {
-      const auto vid = static_cast<ValueId>(v);
-      if (p_.root_[v] != vid || p_.offsets_[v] < 0) {
+    for (std::size_t v = 0; v < nv; ++v) {
+      if (p_.root_[v] != static_cast<ValueId>(v) || prog.offset[v] < 0) {
         continue;
       }
-      if (vid == in_root || vid == out_root) {
+      if (v == out_root) {
         issue(Invariant::kArenaOverlap, -1, static_cast<int>(v),
-              "externally-buffered value carries an arena offset");
+              "the externally-buffered output carries an arena offset");
         continue;
       }
       Region r;
-      r.root = vid;
-      r.lo = p_.offsets_[v];
-      r.hi = r.lo + static_cast<long long>(p_.values_[v].channels) *
-                        p_.stride_[v];
-      if (vid == p_.input_stage_) {
-        r.start = 0;
-        r.end = std::max(last[static_cast<std::size_t>(in_root)], 0);
+      r.root = static_cast<ValueId>(v);
+      r.lo = prog.offset[v];
+      r.hi = r.lo + static_cast<long long>(detail::Program<T>::row_groups(
+                        p_.values_[v].channels)) *
+                        detail::ProgramData<T>::kGroup * prog.stride[v];
+      if (v == in_root) {
+        r.start = 0;  // staged before op 0
+        r.end = std::max(last[v], 0);
       } else if (def[v] < 0) {
         issue(Invariant::kArenaOverlap, -1, static_cast<int>(v),
               "planned value is never produced by any op");
@@ -369,86 +420,78 @@ class PlanVerifier {
       }
       regions.push_back(r);
     }
-    check_regions(regions, p_.arena_per_sample_, "fp32 arena", "floats");
-    // Every arena-resident operand an op touches must actually be planned.
+    check_regions(regions, prog.arena,
+                  kFloat ? "fp32 arena" : "u8 arena",
+                  kFloat ? "floats" : "bytes");
+    // Every operand an op touches must be planned in the arena, except
+    // the external buffers: the output an op writes, and — for fp32, whose
+    // ops read them in place — the caller's input and the output tensor.
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
       const detail::Op& op = p_.ops_[i];
-      const auto planned = [&](ValueId v) {
-        if (v < 0) {
-          return;
-        }
-        const ValueId r = fp32_read_root(v);
-        if (r != in_root && r != out_root &&
-            p_.offsets_[static_cast<std::size_t>(r)] < 0) {
-          issue(Invariant::kArenaOverlap, static_cast<int>(i), r,
+      const auto planned = [&](ValueId v, bool write) {
+        const std::size_t r = root(v);
+        const bool external = r == out_root ? (write || kFloat)
+                                            : (r == in_root && kFloat);
+        if (!external && prog.offset[r] < 0) {
+          issue(Invariant::kArenaOverlap, static_cast<int>(i),
+                static_cast<int>(r),
                 "operand's storage root has no arena offset");
         }
       };
-      planned(op.in0);
-      planned(op.in1);
-      planned(op.out);
+      planned(op.in0, false);
+      if (op.in1 >= 0) {
+        planned(op.in1, false);
+      }
+      planned(op.out, true);
     }
   }
 
-  // ---- kernel footprint containment --------------------------------------
-  void check_footprints() {
-    const ValueId in_root = root(p_.input_);
-    const ValueId out_root = root(p_.output_);
-    const auto dense = [&](ValueId r) {
-      const auto ri = static_cast<std::size_t>(r);
-      return p_.lead_[ri] == 0 && p_.slack_[ri] == 0;
-    };
+  // Streaming ring / step-vector layout against a fresh re-derivation.
+  template <typename T>
+  void check_streaming(const detail::Program<T>& prog) {
+    if (!p_.streamable_) {
+      return;
+    }
+    const detail::StreamLayout& got = prog.stream;
+    if (got.ring_off.size() != p_.ops_.size() ||
+        got.vec_off.size() != p_.values_.size()) {
+      issue(Invariant::kRing, -1, -1,
+            "streaming layout arrays are missing or mis-sized");
+      return;
+    }
+    const detail::StreamLayout want = detail::stream_layout(
+        p_.ops_, p_.values_, p_.root_, detail::ProgramData<T>::kGroup);
+    const char* name = detail::ProgramData<T>::kName;
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
-      const detail::Op& op = p_.ops_[i];
-      const int oi = static_cast<int>(i);
-      switch (op.kind) {
-        case detail::OpKind::kConv:
-          if (op.packed) {
-            const ValueId r = fp32_read_root(op.in0);
-            if (r == in_root) {
-              break;  // unstaged external input: dense clamped path
-            }
-            const auto ri = static_cast<std::size_t>(r);
-            const KernelFootprint fp = Registry::conv_packed_f32_footprint(
-                {op.k, op.c_in, op.c_out}, op.dilation, true);
-            if (p_.lead_[ri] < fp.read_before ||
-                p_.slack_[ri] < fp.read_after) {
-              std::ostringstream os;
-              os << "packed conv needs lead >= " << fp.read_before
-                 << " and slack >= " << fp.read_after << " floats, input "
-                 << "row has lead " << p_.lead_[ri] << " slack "
-                 << p_.slack_[ri];
-              issue(Invariant::kFootprint, oi, r, p_.lead_[ri],
-                    p_.slack_[ri], fp.read_before, fp.read_after,
-                    "conv.packed.f32", os.str());
-            }
-          } else if (!dense(root(op.in0)) || !dense(root(op.out))) {
-            issue(Invariant::kFootprint, oi, root(op.in0), 0, 0, 0, 0,
-                  "conv.train.f32",
-                  "strided conv requires dense (unpadded) operand rows");
-          }
-          break;
-        case detail::OpKind::kLinear:
-          if (!dense(root(op.in0)) || !dense(root(op.out))) {
-            issue(Invariant::kFootprint, oi, root(op.in0), 0, 0, 0, 0,
-                  "linear.f32",
-                  "linear requires dense (unpadded) operand rows");
-          }
-          break;
-        case detail::OpKind::kAvgPool:
-          if ((op.t_out - 1) * op.stride + op.k > op.t_in) {
-            std::ostringstream os;
-            os << "pool window reads past t_in: (t_out-1)*stride + k = "
-               << (op.t_out - 1) * op.stride + op.k << " > " << op.t_in;
-            issue(Invariant::kFootprint, oi, op.in0, 0,
-                  (op.t_out - 1) * op.stride + op.k, 0, op.t_in, {},
-                  os.str());
-          }
-          break;
-        case detail::OpKind::kAdd:
-          break;
+      if (got.ring_off[i] != want.ring_off[i]) {
+        std::ostringstream os;
+        os << name << " conv ring offset " << got.ring_off[i]
+           << ", expected " << want.ring_off[i]
+           << " ((k-1)*dilation+1 slots per input row)";
+        issue(Invariant::kRing, static_cast<int>(i), -1, got.ring_off[i], 0,
+              want.ring_off[i], 0, {}, os.str());
       }
-      (void)out_root;
+    }
+    if (got.ring != want.ring) {
+      std::ostringstream os;
+      os << name << " ring arena holds " << got.ring << " elements, ops need "
+         << want.ring;
+      issue(Invariant::kRing, -1, -1, got.ring, 0, want.ring, 0, {},
+            os.str());
+    }
+    for (std::size_t v = 0; v < p_.values_.size(); ++v) {
+      if (got.vec_off[v] != want.vec_off[v]) {
+        std::ostringstream os;
+        os << name << " step-vector offset mismatch";
+        issue(Invariant::kRing, -1, static_cast<int>(v), got.vec_off[v], 0,
+              want.vec_off[v], 0, {}, os.str());
+      }
+    }
+    if (got.vecs != want.vecs) {
+      std::ostringstream os;
+      os << name << " step-vector arena total mismatch";
+      issue(Invariant::kRing, -1, -1, got.vecs, 0, want.vecs, 0, {},
+            os.str());
     }
   }
 
@@ -459,7 +502,8 @@ class PlanVerifier {
   // geometry demands — a stronger guarantee than the flat-pool offset
   // containment this replaces.
   void check_param_pool() {
-    const index_t nblocks = p_.params_.count();
+    const BlockTable<float>& params = p_.fp32_.params;
+    const index_t nblocks = params.count();
     const auto contained = [&](int oi, index_t blk, index_t count,
                                const char* what) {
       if (blk < 0 || blk >= nblocks) {
@@ -469,37 +513,38 @@ class PlanVerifier {
               os.str());
         return;
       }
-      if (p_.params_.size(blk) != count) {
+      if (params.size(blk) != count) {
         std::ostringstream os;
-        os << what << " block holds " << p_.params_.size(blk)
+        os << what << " block holds " << params.size(blk)
            << " floats, op geometry needs " << count;
-        issue(Invariant::kParamPool, oi, -1, p_.params_.size(blk), 0, count,
-              0, {}, os.str());
+        issue(Invariant::kParamPool, oi, -1, params.size(blk), 0, count, 0,
+              {}, os.str());
       }
     };
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
       const detail::Op& op = p_.ops_[i];
+      const detail::F32Op& lo = p_.fp32_.ops[i];
       const int oi = static_cast<int>(i);
       switch (op.kind) {
         case detail::OpKind::kConv: {
           index_t wfloats = op.c_out * op.c_in * op.k;
-          if (op.packed) {
+          if (detail::packed_conv(op)) {
             nn::kernels::ConvDims dims{};
             dims.c_in = op.c_in;
             dims.c_out = op.c_out;
             dims.k = op.k;
             wfloats = nn::kernels::packed_weight_floats(dims);
           }
-          contained(oi, op.w_blk, wfloats, "conv weights");
-          if (op.b_blk >= 0) {
-            contained(oi, op.b_blk, op.c_out, "conv bias");
+          contained(oi, lo.w_blk, wfloats, "conv weights");
+          if (lo.b_blk >= 0) {
+            contained(oi, lo.b_blk, op.c_out, "conv bias");
           }
           break;
         }
         case detail::OpKind::kLinear:
-          contained(oi, op.w_blk, op.c_out * op.c_in, "linear weights");
-          if (op.b_blk >= 0) {
-            contained(oi, op.b_blk, op.c_out, "linear bias");
+          contained(oi, lo.w_blk, op.c_out * op.c_in, "linear weights");
+          if (lo.b_blk >= 0) {
+            contained(oi, lo.b_blk, op.c_out, "linear bias");
           }
           break;
         case detail::OpKind::kAvgPool:
@@ -520,17 +565,18 @@ class PlanVerifier {
     };
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
       const detail::Op& op = p_.ops_[i];
+      const detail::OpBinding& bind = p_.fp32_.ops[i].bind;
       const int oi = static_cast<int>(i);
       switch (op.kind) {
         case detail::OpKind::kConv:
-          if (op.packed) {
+          if (detail::packed_conv(op)) {
             const nn::kernels::ConvSig sig{op.k, op.c_in, op.c_out};
             const auto conv = reg.conv_packed_f32(sig);
-            if (op.bind.conv != conv.fn || op.bind.meta != conv.meta) {
+            if (bind.conv != conv.fn || bind.meta != conv.meta) {
               mismatch(oi, "conv.packed.f32", "packed conv binding");
             }
             const auto step = reg.conv_step_f32(sig);
-            if (op.bind.step != step.fn || op.bind.step_meta != step.meta) {
+            if (bind.step != step.fn || bind.step_meta != step.meta) {
               mismatch(oi, "conv.step.f32", "streaming step binding");
             }
           } else {
@@ -544,22 +590,21 @@ class PlanVerifier {
             dims.dilation = op.dilation;
             dims.stride = op.stride;
             const auto train = reg.conv_train_f32(dims);
-            if (op.bind.conv_train != train.fn ||
-                op.bind.meta != train.meta) {
+            if (bind.conv_train != train.fn || bind.meta != train.meta) {
               mismatch(oi, "conv.train.f32", "strided conv binding");
             }
           }
           break;
         case detail::OpKind::kLinear: {
           const auto lin = reg.linear_f32();
-          if (op.bind.linear != lin.fn || op.bind.meta != lin.meta) {
+          if (bind.linear != lin.fn || bind.meta != lin.meta) {
             mismatch(oi, "linear.f32", "linear binding");
           }
           break;
         }
         case detail::OpKind::kAvgPool:
         case detail::OpKind::kAdd:
-          if (op.bind.meta != &Registry::inline_meta()) {
+          if (bind.meta != &Registry::inline_meta()) {
             mismatch(oi, "builtin/inline", "inline-op meta");
           }
           break;
@@ -567,175 +612,10 @@ class PlanVerifier {
     }
   }
 
-  // ---- streaming ring / step-vector layout -------------------------------
-  void check_streaming() {
-    if (!p_.streamable_) {
-      return;
-    }
-    for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
-      const detail::Op& op = p_.ops_[i];
-      const bool ok =
-          (op.kind == detail::OpKind::kConv && op.stride == 1 &&
-           op.packed) ||
-          op.kind == detail::OpKind::kAdd;
-      if (!ok) {
-        issue(Invariant::kRing, static_cast<int>(i), -1,
-              "plan is marked streamable but this op cannot stream");
-      }
-    }
-    if (p_.ring_off_.size() != p_.ops_.size() ||
-        p_.val_off_.size() != p_.values_.size()) {
-      issue(Invariant::kRing, -1, -1,
-            "streaming layout arrays are missing or mis-sized");
-      return;
-    }
-    index_t ring = 0;
-    for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
-      const detail::Op& op = p_.ops_[i];
-      const index_t want =
-          op.kind == detail::OpKind::kConv ? ring : static_cast<index_t>(-1);
-      if (p_.ring_off_[i] != want) {
-        std::ostringstream os;
-        os << "conv ring offset " << p_.ring_off_[i] << ", expected "
-           << want << " ((k-1)*dilation+1 slots per input channel)";
-        issue(Invariant::kRing, static_cast<int>(i), -1, p_.ring_off_[i], 0,
-              want, 0, {}, os.str());
-      }
-      if (op.kind == detail::OpKind::kConv) {
-        ring += op.c_in * detail::ring_span(op);
-      }
-    }
-    if (p_.ring_floats_ != ring) {
-      std::ostringstream os;
-      os << "ring arena holds " << p_.ring_floats_ << " floats, ops need "
-         << ring;
-      issue(Invariant::kRing, -1, -1, p_.ring_floats_, 0, ring, 0, {},
-            os.str());
-    }
-    index_t vals = 0;
-    for (std::size_t v = 0; v < p_.values_.size(); ++v) {
-      const index_t want = p_.root_[v] == static_cast<ValueId>(v)
-                               ? vals
-                               : static_cast<index_t>(-1);
-      if (p_.val_off_[v] != want) {
-        issue(Invariant::kRing, -1, static_cast<int>(v), p_.val_off_[v], 0,
-              want, 0, {}, "step-vector offset mismatch");
-      }
-      if (p_.root_[v] == static_cast<ValueId>(v)) {
-        vals += p_.values_[v].channels;
-      }
-    }
-    if (p_.val_floats_ != vals) {
-      issue(Invariant::kRing, -1, -1, p_.val_floats_, 0, vals, 0, {},
-            "step-vector arena total mismatch");
-    }
-  }
-
-  // ---- quantized byte-row layout -----------------------------------------
-  void check_quant_layout() {
-    if (!value_ok(p_.q_stage_) ||
-        p_.root_[static_cast<std::size_t>(p_.q_stage_)] != p_.q_stage_) {
-      issue(Invariant::kLayout, -1, p_.q_stage_,
-            "quantized plan has no valid u8 staging value");
-      return;
-    }
-    for (std::size_t v = 0; v < p_.values_.size(); ++v) {
-      if (p_.q_lead_[v] < 0 ||
-          p_.q_stride_[v] != p_.q_lead_[v] + p_.values_[v].steps) {
-        std::ostringstream os;
-        os << "u8 row stride " << p_.q_stride_[v] << " != lead "
-           << p_.q_lead_[v] << " + steps " << p_.values_[v].steps;
-        issue(Invariant::kLayout, -1, static_cast<int>(v), os.str());
-      }
-    }
-    // i8 conv reads its causal look-back from the zero-point lead; the
-    // kernel has no unpadded fallback, so containment is mandatory.
-    for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
-      const detail::Op& op = p_.ops_[i];
-      if (op.kind != detail::OpKind::kConv) {
-        continue;
-      }
-      const std::size_t rin = qroot(op.in0);
-      const KernelFootprint fp = Registry::conv_packed_i8_footprint(
-          {op.k, op.c_in, op.c_out}, op.dilation);
-      if (kQuantCiGroup * p_.q_lead_[rin] < fp.read_before) {
-        std::ostringstream os;
-        os << "i8 conv needs " << fp.read_before
-           << " lead bytes per group row, input has "
-           << kQuantCiGroup * p_.q_lead_[rin];
-        issue(Invariant::kFootprint, static_cast<int>(i),
-              static_cast<int>(rin), kQuantCiGroup * p_.q_lead_[rin], 0,
-              fp.read_before, 0, "conv.packed.i8", os.str());
-      }
-    }
-  }
-
-  // ---- byte-arena non-aliasing -------------------------------------------
-  void check_quant_arena() {
-    std::vector<int> def;
-    std::vector<int> last;
-    liveness([&](ValueId v) { return qroot(v); }, def, last);
-    const auto stage = static_cast<std::size_t>(p_.q_stage_);
-    const auto out_root = static_cast<std::size_t>(root(p_.output_));
-    std::vector<Region> regions;
-    for (std::size_t v = 0; v < p_.values_.size(); ++v) {
-      if (p_.root_[v] != static_cast<ValueId>(v) || p_.q_off_[v] < 0) {
-        continue;
-      }
-      if (v == out_root) {
-        issue(Invariant::kArenaOverlap, -1, static_cast<int>(v),
-              "the float-stored output carries a byte-arena offset");
-        continue;
-      }
-      Region r;
-      r.root = static_cast<ValueId>(v);
-      r.lo = p_.q_off_[v];
-      r.hi = r.lo + static_cast<long long>(
-                        quant_groups(p_.values_[v].channels)) *
-                        kQuantCiGroup * p_.q_stride_[v];
-      if (v == stage) {
-        r.start = 0;
-        r.end = std::max(last[stage], 0);
-      } else if (def[v] < 0) {
-        issue(Invariant::kArenaOverlap, -1, static_cast<int>(v),
-              "planned u8 value is never produced by any op");
-        continue;
-      } else {
-        r.start = def[v];
-        r.end = std::max(last[v], def[v]);
-      }
-      regions.push_back(r);
-    }
-    check_regions(regions, p_.q_arena_bytes_, "u8 arena", "bytes");
-    for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
-      const detail::Op& op = p_.ops_[i];
-      const detail::QuantOp& qop = p_.qops_[i];
-      const auto planned = [&](ValueId v) {
-        const std::size_t r = qroot(v);
-        if (p_.q_off_[r] < 0) {
-          issue(Invariant::kArenaOverlap, static_cast<int>(i),
-                static_cast<int>(r),
-                "u8 operand's storage root has no byte-arena offset");
-        }
-      };
-      planned(op.in0);
-      if (op.kind == detail::OpKind::kAdd) {
-        planned(op.in1);
-      }
-      const bool writes_output = qroot(op.out) == out_root;
-      if (qop.out_float != writes_output) {
-        issue(Invariant::kLayout, static_cast<int>(i), op.out,
-              "out_float flag disagrees with the op writing the output");
-      } else if (!qop.out_float) {
-        planned(op.out);
-      }
-    }
-  }
-
   // ---- quantization parameter sanity -------------------------------------
-  void check_quant_params() {
+  void check_quant_params(const detail::Program<std::uint8_t>& u8) {
     const auto check_value = [&](std::size_t r, int oi) {
-      const quant::QuantParams& qp = p_.qvalue_[r];
+      const quant::QuantParams& qp = u8.qparams[r];
       if (!std::isfinite(qp.scale) || qp.scale <= 0.0F ||
           qp.zero_point < 0 || qp.zero_point > 255) {
         std::ostringstream os;
@@ -744,11 +624,11 @@ class PlanVerifier {
         issue(Invariant::kQuantParams, oi, static_cast<int>(r), os.str());
       }
     };
-    check_value(static_cast<std::size_t>(p_.q_stage_), -1);
+    check_value(root(p_.input_), -1);
     const auto finite_consts = [&](int oi, index_t off, index_t count,
                                    const char* what) {
       for (index_t e = 0; e < count; ++e) {
-        const float v = p_.qconsts_[static_cast<std::size_t>(off + e)];
+        const float v = u8.consts[static_cast<std::size_t>(off + e)];
         if (!std::isfinite(v)) {
           std::ostringstream os;
           os << what << '[' << e << "] is not finite";
@@ -757,18 +637,23 @@ class PlanVerifier {
         }
       }
     };
+    const std::size_t out_root = root(p_.output_);
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
       const detail::Op& op = p_.ops_[i];
-      const detail::QuantOp& qop = p_.qops_[i];
+      const detail::QuantOp& qop = u8.ops[i];
       const int oi = static_cast<int>(i);
-      const std::size_t rout = qroot(op.out);
-      check_value(qroot(op.in0), oi);
+      const std::size_t rout = root(op.out);
+      check_value(root(op.in0), oi);
       if (op.kind == detail::OpKind::kAdd) {
-        check_value(qroot(op.in1), oi);
+        check_value(root(op.in1), oi);
+      }
+      if (qop.out_float != (rout == out_root)) {
+        issue(Invariant::kLayout, oi, op.out,
+              "out_float flag disagrees with the op writing the output");
       }
       if (!qop.out_float) {
         check_value(rout, oi);
-        const int want_lo = op.relu ? p_.qvalue_[rout].zero_point : 0;
+        const int want_lo = op.relu ? u8.qparams[rout].zero_point : 0;
         if (qop.out_lo != want_lo) {
           std::ostringstream os;
           os << "out_lo " << qop.out_lo << " != " << want_lo
@@ -785,7 +670,7 @@ class PlanVerifier {
         const index_t co_round = (op.c_out + nn::kernels::kQuantCo - 1) /
                                  nn::kernels::kQuantCo *
                                  nn::kernels::kQuantCo;
-        const auto pool = static_cast<long long>(p_.qconsts_.size());
+        const auto pool = static_cast<long long>(u8.consts.size());
         if (qop.m_off >= 0 && qop.m_off + co_round <= pool) {
           finite_consts(oi, qop.m_off, co_round, "requantize multiplier");
         }
@@ -801,12 +686,12 @@ class PlanVerifier {
   }
 
   // ---- packed s8 weight block / requantize-const pool containment --------
-  void check_quant_pools() {
-    const index_t wblocks = p_.qweights_.count();
-    const auto cpool = static_cast<long long>(p_.qconsts_.size());
+  void check_quant_pools(const detail::Program<std::uint8_t>& u8) {
+    const index_t wblocks = u8.weights.count();
+    const auto cpool = static_cast<long long>(u8.consts.size());
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
       const detail::Op& op = p_.ops_[i];
-      const detail::QuantOp& qop = p_.qops_[i];
+      const detail::QuantOp& qop = u8.ops[i];
       const int oi = static_cast<int>(i);
       if (op.kind != detail::OpKind::kConv &&
           op.kind != detail::OpKind::kLinear) {
@@ -818,7 +703,7 @@ class PlanVerifier {
         wd.c_in = op.c_in;
         wd.k = op.k;
       } else {
-        const auto rv = static_cast<std::size_t>(root(op.in0));
+        const std::size_t rv = root(op.in0);
         wd.c_in = quant_groups(p_.values_[rv].channels) * kQuantCiGroup *
                   p_.values_[rv].steps;
         wd.k = 1;
@@ -828,11 +713,11 @@ class PlanVerifier {
         issue(Invariant::kParamPool, oi, -1, qop.w_blk, qop.w_blk + 1, 0,
               wblocks, {},
               "s8 weight block handle falls outside the block table");
-      } else if (p_.qweights_.size(qop.w_blk) != wbytes) {
+      } else if (u8.weights.size(qop.w_blk) != wbytes) {
         std::ostringstream os;
-        os << "s8 weight block holds " << p_.qweights_.size(qop.w_blk)
+        os << "s8 weight block holds " << u8.weights.size(qop.w_blk)
            << " bytes, op geometry needs " << wbytes;
-        issue(Invariant::kParamPool, oi, -1, p_.qweights_.size(qop.w_blk),
+        issue(Invariant::kParamPool, oi, -1, u8.weights.size(qop.w_blk),
               0, wbytes, 0, {}, os.str());
       }
       const index_t co_round = (op.c_out + nn::kernels::kQuantCo - 1) /
@@ -851,7 +736,7 @@ class PlanVerifier {
   }
 
   // ---- quantized binding coherence ---------------------------------------
-  void check_quant_bindings() {
+  void check_quant_bindings(const detail::Program<std::uint8_t>& u8) {
     const Registry& reg = Registry::instance();
     const auto mismatch = [&](int oi, const char* key, const char* what) {
       std::ostringstream os;
@@ -861,13 +746,13 @@ class PlanVerifier {
     };
     {
       const auto stage = reg.stage_i8();
-      if (p_.qstage_fn_ != stage.fn || p_.qstage_meta_ != stage.meta) {
+      if (u8.stage_fn != stage.fn || u8.stage_meta != stage.meta) {
         mismatch(-1, "stage.i8", "input staging binding");
       }
     }
     for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
       const detail::Op& op = p_.ops_[i];
-      const detail::QuantOp& qop = p_.qops_[i];
+      const detail::QuantOp& qop = u8.ops[i];
       const int oi = static_cast<int>(i);
       switch (op.kind) {
         case detail::OpKind::kConv: {
@@ -884,7 +769,7 @@ class PlanVerifier {
           break;
         }
         case detail::OpKind::kLinear: {
-          const auto rv = static_cast<std::size_t>(root(op.in0));
+          const std::size_t rv = root(op.in0);
           const index_t f4 = quant_groups(p_.values_[rv].channels) *
                              kQuantCiGroup * p_.values_[rv].steps;
           const auto lin = reg.conv_packed_i8({1, f4, op.c_out});
@@ -908,58 +793,6 @@ class PlanVerifier {
           break;
         }
       }
-    }
-  }
-
-  // ---- quantized streaming ring / step-vector layout ---------------------
-  void check_quant_streaming() {
-    if (!p_.streamable_) {
-      return;
-    }
-    if (p_.q_ring_off_.size() != p_.ops_.size() ||
-        p_.q_val_off_.size() != p_.values_.size()) {
-      issue(Invariant::kRing, -1, -1,
-            "quantized streaming layout arrays are missing or mis-sized");
-      return;
-    }
-    index_t ring = 0;
-    for (std::size_t i = 0; i < p_.ops_.size(); ++i) {
-      const detail::Op& op = p_.ops_[i];
-      const index_t want =
-          op.kind == detail::OpKind::kConv ? ring : static_cast<index_t>(-1);
-      if (p_.q_ring_off_[i] != want) {
-        issue(Invariant::kRing, static_cast<int>(i), -1, p_.q_ring_off_[i],
-              0, want, 0, {}, "u8 ring offset mismatch");
-      }
-      if (op.kind == detail::OpKind::kConv) {
-        ring += quant_groups(op.c_in) * detail::ring_span(op) *
-                kQuantCiGroup;
-      }
-    }
-    if (p_.q_ring_bytes_ != ring) {
-      std::ostringstream os;
-      os << "u8 ring arena holds " << p_.q_ring_bytes_
-         << " bytes, ops need " << ring
-         << " (quant_groups(c_in) * ((k-1)*dilation+1) * 4 per conv)";
-      issue(Invariant::kRing, -1, -1, p_.q_ring_bytes_, 0, ring, 0, {},
-            os.str());
-    }
-    index_t vals = 0;
-    for (std::size_t v = 0; v < p_.values_.size(); ++v) {
-      const index_t want = p_.root_[v] == static_cast<ValueId>(v)
-                               ? vals
-                               : static_cast<index_t>(-1);
-      if (p_.q_val_off_[v] != want) {
-        issue(Invariant::kRing, -1, static_cast<int>(v), p_.q_val_off_[v],
-              0, want, 0, {}, "u8 step-vector offset mismatch");
-      }
-      if (p_.root_[v] == static_cast<ValueId>(v)) {
-        vals += quant_groups(p_.values_[v].channels) * kQuantCiGroup;
-      }
-    }
-    if (p_.q_val_bytes_ != vals) {
-      issue(Invariant::kRing, -1, -1, p_.q_val_bytes_, 0, vals, 0, {},
-            "u8 step-vector arena total mismatch");
     }
   }
 

@@ -5,9 +5,15 @@
 // ring sizes, quantization parameters, pool offsets — so the mutation
 // suite can assert that verify_plan() rejects each corruption with a
 // diagnostic anchored to the RIGHT invariant, not merely that it fails.
-// Every mutation returns false when the plan has no site to corrupt
-// (e.g. no streaming layout to shrink), letting tests skip gracefully.
+// The layout mutations are templated on the program's element type
+// (float: the fp32 program, std::uint8_t: the quantized one), since both
+// programs share one layout shape. Every mutation returns false when the
+// plan has no site to corrupt (e.g. no streaming layout to shrink, or no
+// u8 program), letting tests skip gracefully.
 #pragma once
+
+#include <cstdint>
+#include <type_traits>
 
 #include "nn/kernels/registry.hpp"
 #include "runtime/compiled_net.hpp"
@@ -16,15 +22,21 @@ namespace pit::runtime {
 
 class PlanMutator {
  public:
-  /// Two simultaneously-live fp32 arena regions forced onto one offset.
-  static bool overlap_arena_offsets(CompiledPlan& p) {
+  // ---- layout mutations, applicable to either program -------------------
+
+  /// Two simultaneously-live arena regions forced onto one offset.
+  template <typename T>
+  static bool overlap_offsets(CompiledPlan& p) {
+    detail::Program<T>* prog = program<T>(p);
+    if (prog == nullptr) {
+      return false;
+    }
     for (const detail::Op& op : p.ops_) {
-      const auto rin = static_cast<std::size_t>(
-          p.root_[static_cast<std::size_t>(op.in0)]);
-      const auto rout = static_cast<std::size_t>(
-          p.root_[static_cast<std::size_t>(op.out)]);
-      if (rin != rout && p.offsets_[rin] >= 0 && p.offsets_[rout] >= 0) {
-        p.offsets_[rout] = p.offsets_[rin];
+      const std::size_t rin = root(p, op.in0);
+      const std::size_t rout = root(p, op.out);
+      if (rin != rout && prog->offset[rin] >= 0 &&
+          prog->offset[rout] >= 0) {
+        prog->offset[rout] = prog->offset[rin];
         return true;
       }
     }
@@ -32,21 +44,25 @@ class PlanMutator {
   }
 
   /// Arena truncated below the highest planned region end.
+  template <typename T>
   static bool shrink_arena(CompiledPlan& p) {
-    if (p.arena_per_sample_ <= 0) {
+    detail::Program<T>* prog = program<T>(p);
+    if (prog == nullptr || prog->arena <= 0) {
       return false;
     }
-    p.arena_per_sample_ -= 1;
+    prog->arena -= 1;
     return true;
   }
 
-  /// A padded row's causal lead shaved by one float (stride kept
+  /// A padded row's causal lead shaved by one step (stride kept
   /// consistent, so only the kernel footprint check can object).
+  template <typename T>
   static bool truncate_lead(CompiledPlan& p) {
-    for (std::size_t v = 0; v < p.values_.size(); ++v) {
-      if (p.lead_[v] > 0 && p.offsets_[v] >= 0) {
-        p.lead_[v] -= 1;
-        p.stride_[v] -= 1;
+    detail::Program<T>* prog = program<T>(p);
+    for (std::size_t v = 0; prog != nullptr && v < p.values_.size(); ++v) {
+      if (prog->lead[v] > 0 && prog->offset[v] >= 0) {
+        prog->lead[v] -= 1;
+        prog->stride[v] -= 1;
         return true;
       }
     }
@@ -54,22 +70,53 @@ class PlanMutator {
   }
 
   /// Row-stride bookkeeping broken (stride != lead + steps + slack).
+  template <typename T>
   static bool corrupt_stride(CompiledPlan& p) {
-    for (std::size_t v = 0; v < p.values_.size(); ++v) {
-      if (p.offsets_[v] >= 0) {
-        p.stride_[v] += 1;
+    detail::Program<T>* prog = program<T>(p);
+    for (std::size_t v = 0; prog != nullptr && v < p.values_.size(); ++v) {
+      if (prog->offset[v] >= 0) {
+        prog->stride[v] += 1;
         return true;
       }
     }
     return false;
   }
 
+  /// Streaming ring shrunk below (k-1)*dilation+1 slots per input row.
+  template <typename T>
+  static bool shrink_ring(CompiledPlan& p) {
+    detail::Program<T>* prog = program<T>(p);
+    if (prog == nullptr || !p.streamable_ || prog->stream.ring <= 0) {
+      return false;
+    }
+    prog->stream.ring -= 1;
+    return true;
+  }
+
+  /// A step-vector offset nudged off the packed layout.
+  template <typename T>
+  static bool corrupt_vec_off(CompiledPlan& p) {
+    detail::Program<T>* prog = program<T>(p);
+    if (prog == nullptr || !p.streamable_) {
+      return false;
+    }
+    for (index_t& off : prog->stream.vec_off) {
+      if (off > 0) {
+        off -= 1;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // ---- fp32 program: params and bindings --------------------------------
+
   /// A conv/linear weight block handle pushed past the plan's block table.
   static bool overflow_param_offset(CompiledPlan& p) {
-    for (detail::Op& op : p.ops_) {
-      if (op.kind == detail::OpKind::kConv ||
-          op.kind == detail::OpKind::kLinear) {
-        op.w_blk = p.params_.count();
+    for (std::size_t i = 0; i < p.ops_.size(); ++i) {
+      const detail::OpKind k = p.ops_[i].kind;
+      if (k == detail::OpKind::kConv || k == detail::OpKind::kLinear) {
+        p.fp32_.ops[i].w_blk = p.fp32_.params.count();
         return true;
       }
     }
@@ -78,9 +125,9 @@ class PlanMutator {
 
   /// A packed conv's kernel binding nulled out.
   static bool null_conv_binding(CompiledPlan& p) {
-    for (detail::Op& op : p.ops_) {
-      if (op.kind == detail::OpKind::kConv && op.packed) {
-        op.bind.conv = nullptr;
+    for (std::size_t i = 0; i < p.ops_.size(); ++i) {
+      if (detail::packed_conv(p.ops_[i])) {
+        p.fp32_.ops[i].bind.conv = nullptr;
         return true;
       }
     }
@@ -91,18 +138,18 @@ class PlanMutator {
   /// the registry resolves both signatures to the same kernel (then a
   /// swap would be invisible — and harmless).
   static bool swap_conv_bindings(CompiledPlan& p) {
-    detail::Op* first = nullptr;
-    for (detail::Op& op : p.ops_) {
-      if (op.kind != detail::OpKind::kConv || !op.packed) {
+    detail::OpBinding* first = nullptr;
+    for (std::size_t i = 0; i < p.ops_.size(); ++i) {
+      if (!detail::packed_conv(p.ops_[i])) {
         continue;
       }
+      detail::OpBinding& bind = p.fp32_.ops[i].bind;
       if (first == nullptr) {
-        first = &op;
+        first = &bind;
         continue;
       }
-      if (op.bind.conv != first->bind.conv ||
-          op.bind.meta != first->bind.meta) {
-        std::swap(first->bind, op.bind);
+      if (bind.conv != first->conv || bind.meta != first->meta) {
+        std::swap(*first, bind);
         return true;
       }
     }
@@ -111,58 +158,35 @@ class PlanMutator {
 
   /// A streaming step binding replaced by the inline-op meta.
   static bool corrupt_step_binding(CompiledPlan& p) {
-    for (detail::Op& op : p.ops_) {
-      if (op.kind == detail::OpKind::kConv && op.packed &&
-          op.bind.step_meta != nullptr) {
-        op.bind.step = nullptr;
-        op.bind.step_meta = &nn::kernels::Registry::inline_meta();
+    for (std::size_t i = 0; i < p.ops_.size(); ++i) {
+      detail::OpBinding& bind = p.fp32_.ops[i].bind;
+      if (detail::packed_conv(p.ops_[i]) && bind.step_meta != nullptr) {
+        bind.step = nullptr;
+        bind.step_meta = &nn::kernels::Registry::inline_meta();
         return true;
       }
     }
     return false;
   }
 
-  /// fp32 streaming ring shrunk below (k-1)*dilation+1 slots per channel.
-  static bool shrink_ring(CompiledPlan& p) {
-    if (!p.streamable_ || p.ring_floats_ <= 0) {
-      return false;
-    }
-    p.ring_floats_ -= 1;
-    return true;
-  }
-
-  /// A step-vector offset nudged off the packed layout.
-  static bool corrupt_val_off(CompiledPlan& p) {
-    if (!p.streamable_) {
-      return false;
-    }
-    for (std::size_t v = 0; v < p.val_off_.size(); ++v) {
-      if (p.val_off_[v] > 0) {
-        p.val_off_[v] -= 1;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // ---- quantized-program mutations (no-ops on fp32-only plans) ----------
+  // ---- u8 program: quantization and bindings (no-ops on fp32 plans) ------
 
   /// The staged input's u8 scale zeroed (degenerate affine params).
   static bool zero_quant_scale(CompiledPlan& p) {
-    if (!p.quantized_ || p.q_stage_ < 0) {
+    if (!p.u8_) {
       return false;
     }
-    p.qvalue_[static_cast<std::size_t>(p.q_stage_)].scale = 0.0F;
+    p.u8_->qparams[root(p, p.input_)].scale = 0.0F;
     return true;
   }
 
   /// A requantizing store's lower clamp decoupled from its ReLU/zero-point
   /// rule.
   static bool corrupt_out_lo(CompiledPlan& p) {
-    if (!p.quantized_) {
+    if (!p.u8_) {
       return false;
     }
-    for (detail::QuantOp& qop : p.qops_) {
+    for (detail::QuantOp& qop : p.u8_->ops) {
       if (!qop.out_float) {
         qop.out_lo += 7;
         return true;
@@ -173,59 +197,27 @@ class PlanMutator {
 
   /// A packed s8 weight block handle pushed past the plan's block table.
   static bool overflow_qweight_offset(CompiledPlan& p) {
-    if (!p.quantized_) {
+    if (!p.u8_) {
       return false;
     }
     for (std::size_t i = 0; i < p.ops_.size(); ++i) {
       const detail::OpKind k = p.ops_[i].kind;
       if (k == detail::OpKind::kConv || k == detail::OpKind::kLinear) {
-        p.qops_[i].w_blk = p.qweights_.count();
+        p.u8_->ops[i].w_blk = p.u8_->weights.count();
         return true;
       }
     }
     return false;
-  }
-
-  /// Two simultaneously-live u8 byte-arena regions forced onto one offset.
-  static bool overlap_q_offsets(CompiledPlan& p) {
-    if (!p.quantized_) {
-      return false;
-    }
-    const auto in_root = static_cast<std::size_t>(
-        p.root_[static_cast<std::size_t>(p.input_)]);
-    const auto qroot = [&](ValueId v) {
-      const auto r =
-          static_cast<std::size_t>(p.root_[static_cast<std::size_t>(v)]);
-      return r == in_root ? static_cast<std::size_t>(p.q_stage_) : r;
-    };
-    for (const detail::Op& op : p.ops_) {
-      const std::size_t rin = qroot(op.in0);
-      const std::size_t rout = qroot(op.out);
-      if (rin != rout && p.q_off_[rin] >= 0 && p.q_off_[rout] >= 0) {
-        p.q_off_[rout] = p.q_off_[rin];
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// u8 streaming ring shrunk below its per-conv quad spans.
-  static bool shrink_q_ring(CompiledPlan& p) {
-    if (!p.quantized_ || !p.streamable_ || p.q_ring_bytes_ <= 0) {
-      return false;
-    }
-    p.q_ring_bytes_ -= 1;
-    return true;
   }
 
   /// An i8 conv binding replaced by the inline-op meta.
   static bool swap_quant_binding(CompiledPlan& p) {
-    if (!p.quantized_) {
+    if (!p.u8_) {
       return false;
     }
     for (std::size_t i = 0; i < p.ops_.size(); ++i) {
       if (p.ops_[i].kind == detail::OpKind::kConv) {
-        p.qops_[i].bind.meta = &nn::kernels::Registry::inline_meta();
+        p.u8_->ops[i].bind.meta = &nn::kernels::Registry::inline_meta();
         return true;
       }
     }
@@ -239,10 +231,24 @@ class PlanMutator {
   /// the sanitizer/canary layer catches it.
   static nn::kernels::ConvPackedF32Fn set_conv_fn(
       CompiledPlan& p, std::size_t index, nn::kernels::ConvPackedF32Fn fn) {
-    detail::Op& op = p.ops_[index];
-    nn::kernels::ConvPackedF32Fn old = op.bind.conv;
-    op.bind.conv = fn;
+    detail::OpBinding& bind = p.fp32_.ops[index].bind;
+    nn::kernels::ConvPackedF32Fn old = bind.conv;
+    bind.conv = fn;
     return old;
+  }
+
+ private:
+  template <typename T>
+  static detail::Program<T>* program(CompiledPlan& p) {
+    if constexpr (std::is_same_v<T, float>) {
+      return &p.fp32_;
+    } else {
+      return p.u8_ ? &*p.u8_ : nullptr;
+    }
+  }
+
+  static std::size_t root(const CompiledPlan& p, ValueId v) {
+    return static_cast<std::size_t>(p.root_[static_cast<std::size_t>(v)]);
   }
 };
 

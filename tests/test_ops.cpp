@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "tensor/error.hpp"
 #include "tensor/gradcheck.hpp"
@@ -171,6 +172,13 @@ struct UnaryCase {
   float lo;  // input sampling range, avoids non-differentiable points
   float hi;
 };
+
+// Without a printer gtest dumps the raw bytes of UnaryCase, which include
+// the load address of `name` and so change from one build to the next; the
+// registered test names would then change too.
+void PrintTo(const UnaryCase& c, std::ostream* os) {
+  *os << c.name << " on [" << c.lo << ", " << c.hi << "]";
+}
 
 class UnaryGradcheck : public ::testing::TestWithParam<UnaryCase> {};
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -143,31 +144,54 @@ TEST(PlanHardening, ModesProduceIdenticalQuantizedOutputs) {
   }
 }
 
+/// Streams x one step at a time under kCanary and checks every step
+/// against the batched forward (run with hardening off): bit-exact for the
+/// int8 program, within float rounding for fp32.
+void expect_stream_matches_batched(const CompiledPlan& plan, const Tensor& x) {
+  const index_t c = x.dim(1);
+  const index_t steps = x.dim(2);
+  Tensor batched;
+  {
+    ScopedMode m(hardening::Mode::kOff);
+    ExecutionContext ctx;
+    batched = plan.forward(x, ctx);  // (1, C_out, steps)
+  }
+  ScopedMode m(hardening::Mode::kCanary);  // ring-layout checks active
+  ExecutionContext sctx;
+  const index_t c_out = plan.output_channels();
+  for (index_t t = 0; t < steps; ++t) {
+    Tensor step_in = Tensor::empty(Shape{c});
+    for (index_t ch = 0; ch < c; ++ch) {
+      step_in.data()[ch] = x.data()[ch * steps + t];
+    }
+    const Tensor step_out = plan.step(step_in, sctx);
+    for (index_t ch = 0; ch < c_out; ++ch) {
+      const float want = batched.data()[ch * steps + t];
+      if (plan.quantized()) {
+        ASSERT_EQ(step_out.data()[ch], want)
+            << "stream diverges at t=" << t << " ch=" << ch;
+      } else {
+        ASSERT_FLOAT_EQ(step_out.data()[ch], want)
+            << "stream diverges at t=" << t << " ch=" << ch;
+      }
+    }
+  }
+}
+
 TEST(PlanHardening, StreamingRunsUnderHardening) {
   RandomEngine rng(2017);
   const auto plan = two_conv_plan(rng);
   ASSERT_TRUE(plan->streamable());
   const Tensor x = Tensor::randn(Shape{1, 4, 64}, rng);
+  expect_stream_matches_batched(*plan, x);
 
-  Tensor batched;
-  {
-    ScopedMode m(hardening::Mode::kOff);
-    ExecutionContext ctx;
-    batched = plan->forward(x, ctx);  // (1, 4, 64)
-  }
-  ScopedMode m(hardening::Mode::kCanary);  // ring-layout checks active
-  ExecutionContext sctx;
-  for (index_t t = 0; t < 64; ++t) {
-    Tensor step_in = Tensor::empty(Shape{4});
-    for (index_t ch = 0; ch < 4; ++ch) {
-      step_in.data()[ch] = x.data()[ch * 64 + t];
-    }
-    const Tensor step_out = plan->step(step_in, sctx);
-    for (index_t ch = 0; ch < 4; ++ch) {
-      ASSERT_FLOAT_EQ(step_out.data()[ch], batched.data()[ch * 64 + t])
-          << "stream diverges at t=" << t << " ch=" << ch;
-    }
-  }
+  // The int8 program streams through the same step executor: bit-exact
+  // against its own batched forward, ring checks active.
+  data::TensorDataset dataset = random_dataset(12, 4, 64, rng);
+  data::DataLoader loader(dataset, 4, /*shuffle=*/false);
+  const auto qplan = quantize_plan(*plan, loader);
+  ASSERT_TRUE(qplan->streamable());
+  expect_stream_matches_batched(*qplan, x);
 }
 
 // ---- dynamic ring enforcement at bind time --------------------------------
@@ -176,11 +200,17 @@ TEST(PlanHardening, StreamBindRejectsShrunkenRing) {
   RandomEngine rng(2027);
   const auto plan = two_conv_plan(rng);
   CompiledPlan bad(*plan);
-  ASSERT_TRUE(PlanMutator::shrink_ring(bad));
+  ASSERT_TRUE(PlanMutator::shrink_ring<float>(bad));
+  data::TensorDataset dataset = random_dataset(12, 4, 64, rng);
+  data::DataLoader loader(dataset, 4, /*shuffle=*/false);
+  CompiledPlan qbad(*quantize_plan(*plan, loader));
+  ASSERT_TRUE(PlanMutator::shrink_ring<std::uint8_t>(qbad));
   ScopedMode m(hardening::Mode::kCanary);
-  ExecutionContext ctx;
   const Tensor step_in = Tensor::randn(Shape{4}, rng);
+  ExecutionContext ctx;
   EXPECT_THROW(bad.step(step_in, ctx), pit::Error);
+  ExecutionContext qctx;
+  EXPECT_THROW(qbad.step(step_in, qctx), pit::Error);
 }
 
 // ---- hostile kernel: out-of-footprint store is caught ---------------------

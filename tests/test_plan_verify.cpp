@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <vector>
@@ -143,7 +144,7 @@ TEST(PlanVerify, IssuesCarryStructuredDiagnostics) {
   RandomEngine rng(1217);
   const auto plan = restcn_plan(rng, 31);
   CompiledPlan copy(*plan);
-  ASSERT_TRUE(PlanMutator::overlap_arena_offsets(copy));
+  ASSERT_TRUE(PlanMutator::overlap_offsets<float>(copy));
   const Report report = verify_plan(copy);
   ASSERT_FALSE(report.ok());
   bool found = false;
@@ -165,7 +166,7 @@ TEST(PlanVerify, VerifyOrThrowRaisesOnCorruptPlan) {
   RandomEngine rng(1223);
   const auto plan = restcn_plan(rng, 31);
   CompiledPlan copy(*plan);
-  ASSERT_TRUE(PlanMutator::shrink_arena(copy));
+  ASSERT_TRUE(PlanMutator::shrink_arena<float>(copy));
   EXPECT_THROW(analysis::verify_or_throw(copy, "test"), pit::Error);
 }
 
@@ -173,7 +174,7 @@ TEST(PlanVerify, SetVerifyEnabledSuppressesTheThrow) {
   RandomEngine rng(1229);
   const auto plan = restcn_plan(rng, 31);
   CompiledPlan copy(*plan);
-  ASSERT_TRUE(PlanMutator::shrink_arena(copy));
+  ASSERT_TRUE(PlanMutator::shrink_arena<float>(copy));
   const bool prev = analysis::set_verify_enabled(false);
   EXPECT_TRUE(prev);  // on by default
   EXPECT_NO_THROW(analysis::verify_or_throw(copy, "test"));
@@ -211,23 +212,25 @@ std::shared_ptr<const CompiledPlan> PlanMutation::quant_;
 std::shared_ptr<const CompiledPlan> PlanMutation::tempo_;
 
 TEST_F(PlanMutation, OverlappingArenaOffsetsRejected) {
-  expect_rejected(*fp32_, PlanMutator::overlap_arena_offsets,
+  expect_rejected(*fp32_, PlanMutator::overlap_offsets<float>,
                   Invariant::kArenaOverlap);
-  expect_rejected(*tempo_, PlanMutator::overlap_arena_offsets,
+  expect_rejected(*tempo_, PlanMutator::overlap_offsets<float>,
                   Invariant::kArenaOverlap);
 }
 
 TEST_F(PlanMutation, ShrunkenArenaRejected) {
-  expect_rejected(*fp32_, PlanMutator::shrink_arena,
+  expect_rejected(*fp32_, PlanMutator::shrink_arena<float>,
                   Invariant::kArenaOverlap);
 }
 
 TEST_F(PlanMutation, TruncatedCausalLeadRejected) {
-  expect_rejected(*fp32_, PlanMutator::truncate_lead, Invariant::kFootprint);
+  expect_rejected(*fp32_, PlanMutator::truncate_lead<float>,
+                  Invariant::kFootprint);
 }
 
 TEST_F(PlanMutation, CorruptRowStrideRejected) {
-  expect_rejected(*fp32_, PlanMutator::corrupt_stride, Invariant::kLayout);
+  expect_rejected(*fp32_, PlanMutator::corrupt_stride<float>,
+                  Invariant::kLayout);
 }
 
 TEST_F(PlanMutation, ParamOffsetPastPoolRejected) {
@@ -253,11 +256,12 @@ TEST_F(PlanMutation, CorruptStepBindingRejected) {
 }
 
 TEST_F(PlanMutation, ShrunkenStreamRingRejected) {
-  expect_rejected(*fp32_, PlanMutator::shrink_ring, Invariant::kRing);
+  expect_rejected(*fp32_, PlanMutator::shrink_ring<float>, Invariant::kRing);
 }
 
 TEST_F(PlanMutation, CorruptStepVectorOffsetRejected) {
-  expect_rejected(*fp32_, PlanMutator::corrupt_val_off, Invariant::kRing);
+  expect_rejected(*fp32_, PlanMutator::corrupt_vec_off<float>,
+                  Invariant::kRing);
 }
 
 TEST_F(PlanMutation, ZeroQuantScaleRejected) {
@@ -276,13 +280,38 @@ TEST_F(PlanMutation, QuantWeightOffsetPastPoolRejected) {
 }
 
 TEST_F(PlanMutation, OverlappingByteArenaOffsetsRejected) {
-  expect_rejected(*quant_, PlanMutator::overlap_q_offsets,
+  expect_rejected(*quant_, PlanMutator::overlap_offsets<std::uint8_t>,
                   Invariant::kArenaOverlap);
 }
 
 TEST_F(PlanMutation, ShrunkenQuantRingRejected) {
-  expect_rejected(*quant_, PlanMutator::shrink_q_ring, Invariant::kRing);
+  expect_rejected(*quant_, PlanMutator::shrink_ring<std::uint8_t>,
+                  Invariant::kRing);
 }
+
+// The u8 program shares the fp32 program's layout shape, so every layout
+// corruption above has a byte-arena twin the same checks must reject.
+
+TEST_F(PlanMutation, ShrunkenByteArenaRejected) {
+  expect_rejected(*quant_, PlanMutator::shrink_arena<std::uint8_t>,
+                  Invariant::kArenaOverlap);
+}
+
+TEST_F(PlanMutation, TruncatedZeroPointLeadRejected) {
+  expect_rejected(*quant_, PlanMutator::truncate_lead<std::uint8_t>,
+                  Invariant::kFootprint);
+}
+
+TEST_F(PlanMutation, CorruptByteRowStrideRejected) {
+  expect_rejected(*quant_, PlanMutator::corrupt_stride<std::uint8_t>,
+                  Invariant::kLayout);
+}
+
+TEST_F(PlanMutation, CorruptQuantStepVectorOffsetRejected) {
+  expect_rejected(*quant_, PlanMutator::corrupt_vec_off<std::uint8_t>,
+                  Invariant::kRing);
+}
+
 
 TEST_F(PlanMutation, SwappedQuantBindingRejected) {
   expect_rejected(*quant_, PlanMutator::swap_quant_binding,

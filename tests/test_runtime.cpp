@@ -121,10 +121,11 @@ TEST(FoldBatchnorm, MaterializesBiasOnBiaslessConv) {
 
   NetBuilder b;
   ValueId x = b.input(2, 12);
-  CompiledNet net{std::move(b).compile(b.conv(x, frozen, false))};
+  const CompiledPlan plan = std::move(b).compile(b.conv(x, frozen, false));
+  ExecutionContext ctx;
   Tensor in = Tensor::randn(Shape{1, 2, 12}, rng);
   Tensor expected = bn.forward(conv.forward(in));
-  EXPECT_LT(max_abs_diff(net.forward(in), expected), 1e-5F);
+  EXPECT_LT(max_abs_diff(plan.forward(in, ctx), expected), 1e-5F);
 }
 
 TEST(CompiledConv, StridedDilatedParity) {
@@ -132,9 +133,11 @@ TEST(CompiledConv, StridedDilatedParity) {
   nn::Conv1d conv(2, 5, 4, {.dilation = 3, .stride = 2, .bias = true}, rng);
   NetBuilder b;
   ValueId x = b.input(2, 31);
-  CompiledNet net{std::move(b).compile(b.conv(x, freeze_conv(conv), false))};
+  const CompiledPlan plan =
+      std::move(b).compile(b.conv(x, freeze_conv(conv), false));
+  ExecutionContext ctx;
   Tensor in = Tensor::randn(Shape{3, 2, 31}, rng);
-  EXPECT_LT(max_abs_diff(net.forward(in), conv.forward(in)), 1e-6F);
+  EXPECT_LT(max_abs_diff(plan.forward(in, ctx), conv.forward(in)), 1e-6F);
 }
 
 TEST(FreezeTemporalConv, RejectsUnsupportedModules) {
@@ -161,9 +164,10 @@ TEST(CompiledTempoNet, MatchesModuleForwardFromDilatedConvs) {
   model.forward(Tensor::randn(Shape{8, 4, 64}, rng));
   model.eval();
 
-  CompiledNet net = compile(model);
+  const auto plan = compile_plan(model);
+  ExecutionContext ctx;
   Tensor x = Tensor::randn(Shape{5, 4, 64}, rng);
-  EXPECT_LT(max_abs_diff(net.forward(x), model.forward(x)), 1e-4F);
+  EXPECT_LT(max_abs_diff(plan->forward(x, ctx), model.forward(x)), 1e-4F);
 }
 
 TEST(CompiledTempoNet, MatchesModuleForwardFromFrozenPitLayers) {
@@ -180,9 +184,10 @@ TEST(CompiledTempoNet, MatchesModuleForwardFromFrozenPitLayers) {
   model.forward(Tensor::randn(Shape{8, 4, 64}, rng));
   model.eval();
 
-  CompiledNet net = compile(model);
+  const auto plan = compile_plan(model);
+  ExecutionContext ctx;
   Tensor x = Tensor::randn(Shape{4, 4, 64}, rng);
-  EXPECT_LT(max_abs_diff(net.forward(x), model.forward(x)), 1e-4F);
+  EXPECT_LT(max_abs_diff(plan->forward(x, ctx), model.forward(x)), 1e-4F);
 }
 
 models::ResTcnConfig small_restcn_config() {
@@ -200,9 +205,10 @@ TEST(CompiledResTcn, MatchesModuleForwardFromDilatedConvs) {
       cfg, models::dilated_conv_factory(rng, {1, 2, 4, 8, 16, 2, 1, 32}),
       rng);
   model.eval();
-  CompiledNet net = compile(model, 24);
+  const auto plan = compile_plan(model, 24);
+  ExecutionContext ctx;
   Tensor x = Tensor::randn(Shape{3, 6, 24}, rng);
-  EXPECT_LT(max_abs_diff(net.forward(x), model.forward(x)), 1e-5F);
+  EXPECT_LT(max_abs_diff(plan->forward(x, ctx), model.forward(x)), 1e-5F);
 }
 
 TEST(CompiledResTcn, MatchesModuleForwardFromFrozenPitLayers) {
@@ -216,9 +222,10 @@ TEST(CompiledResTcn, MatchesModuleForwardFromFrozenPitLayers) {
     layers[i]->freeze_gamma();
   }
   model.eval();
-  CompiledNet net = compile(model, 20);
+  const auto plan = compile_plan(model, 20);
+  ExecutionContext ctx;
   Tensor x = Tensor::randn(Shape{2, 6, 20}, rng);
-  EXPECT_LT(max_abs_diff(net.forward(x), model.forward(x)), 1e-4F);
+  EXPECT_LT(max_abs_diff(plan->forward(x, ctx), model.forward(x)), 1e-4F);
 }
 
 // ---- Runtime invariants ----------------------------------------------------
@@ -231,11 +238,12 @@ TEST(CompiledNet, ServesEveryBatchSizeFromOnePlan) {
   model.train();
   model.forward(Tensor::randn(Shape{8, 4, 64}, rng));
   model.eval();
-  CompiledNet net = compile(model);
+  const auto plan = compile_plan(model);
+  ExecutionContext ctx;
   // Grow, shrink, grow again: offsets are planned per sample and scaled.
   for (const index_t n : {index_t{4}, index_t{1}, index_t{6}}) {
     Tensor x = Tensor::randn(Shape{n, 4, 64}, rng);
-    EXPECT_LT(max_abs_diff(net.forward(x), model.forward(x)), 1e-4F)
+    EXPECT_LT(max_abs_diff(plan->forward(x, ctx), model.forward(x)), 1e-4F)
         << "batch " << n;
   }
 }
@@ -246,10 +254,11 @@ TEST(CompiledNet, RepeatedForwardIsBitwiseStable) {
   models::ResTCN model(
       cfg, models::dilated_conv_factory(rng, {1, 1, 2, 2, 4, 4, 8, 8}), rng);
   model.eval();
-  CompiledNet net = compile(model, 16);
+  const auto plan = compile_plan(model, 16);
+  ExecutionContext ctx;
   Tensor x = Tensor::randn(Shape{2, 6, 16}, rng);
-  Tensor a = net.forward(x);
-  Tensor b = net.forward(x);  // arena reuse must leave no residue
+  Tensor a = plan->forward(x, ctx);
+  Tensor b = plan->forward(x, ctx);  // arena reuse must leave no residue
   ASSERT_EQ(a.numel(), b.numel());
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<std::size_t>(a.numel()) * sizeof(float)),
@@ -262,11 +271,11 @@ TEST(CompiledNet, ArenaIsSmallerThanUnplannedActivations) {
   models::TempoNet model(
       cfg, models::dilated_conv_factory(rng, {2, 2, 1, 4, 4, 8, 8}), rng);
   model.eval();
-  CompiledNet net = compile(model);
-  EXPECT_LT(net.arena_floats_per_sample(),
-            net.activation_floats_per_sample());
-  EXPECT_GT(net.param_floats(), 0);
-  const std::string text = net.summary();
+  const auto plan = compile_plan(model);
+  EXPECT_LT(plan->arena_floats_per_sample(),
+            plan->activation_floats_per_sample());
+  EXPECT_GT(plan->param_floats(), 0);
+  const std::string text = plan->summary();
   EXPECT_NE(text.find("conv"), std::string::npos);
   EXPECT_NE(text.find("linear"), std::string::npos);
 }
@@ -276,9 +285,12 @@ TEST(CompiledNet, RejectsWrongInputShape) {
   const auto cfg = small_restcn_config();
   models::ResTCN model(
       cfg, models::dilated_conv_factory(rng, {1, 1, 2, 2, 4, 4, 8, 8}), rng);
-  CompiledNet net = compile(model, 16);
-  EXPECT_THROW(net.forward(Tensor::randn(Shape{2, 6, 17}, rng)), Error);
-  EXPECT_THROW(net.forward(Tensor::randn(Shape{2, 5, 16}, rng)), Error);
+  const auto plan = compile_plan(model, 16);
+  ExecutionContext ctx;
+  EXPECT_THROW(plan->forward(Tensor::randn(Shape{2, 6, 17}, rng), ctx),
+               Error);
+  EXPECT_THROW(plan->forward(Tensor::randn(Shape{2, 5, 16}, rng), ctx),
+               Error);
 }
 
 }  // namespace
