@@ -224,29 +224,36 @@ void run_backend_compare(const char* json_path) {
     Tensor dy = Tensor::randn(Shape{d.n, d.c_out, d.t_out}, rng);
     Tensor dx = Tensor::zeros(Shape{d.n, d.c_in, d.t_in});
     Tensor dw = Tensor::zeros(Shape{d.c_out, d.c_in, d.k});
+    const kern::ConvTrainF32& blk =
+        kern::Registry::instance().conv_train_f32_blocked();
     struct KernelRun {
       const char* name;
-      std::function<void(kern::Backend)> call;
+      std::function<void()> scalar;
+      std::function<void()> blocked;
     };
     const std::vector<KernelRun> kernels = {
         {"forward",
-         [&](kern::Backend bk) {
-           kern::conv_forward(x.data(), w.data(), b.data(), y.data(), d, bk);
-         }},
+         [&] {
+           kern::scalar::conv_forward(x.data(), w.data(), b.data(), y.data(),
+                                      d);
+         },
+         [&] { blk.forward(x.data(), w.data(), b.data(), y.data(), d); }},
         {"backward_input",
-         [&](kern::Backend bk) {
-           kern::conv_backward_input(dy.data(), w.data(), dx.data(), d, bk);
-         }},
+         [&] {
+           kern::scalar::conv_backward_input(dy.data(), w.data(), dx.data(),
+                                             d);
+         },
+         [&] { blk.backward_input(dy.data(), w.data(), dx.data(), d); }},
         {"backward_weight",
-         [&](kern::Backend bk) {
-           kern::conv_backward_weight(dy.data(), x.data(), dw.data(), d, bk);
-         }},
+         [&] {
+           kern::scalar::conv_backward_weight(dy.data(), x.data(), dw.data(),
+                                              d);
+         },
+         [&] { blk.backward_weight(dy.data(), x.data(), dw.data(), d); }},
     };
     for (const auto& k : kernels) {
-      const double scalar_ms =
-          time_ms([&] { k.call(kern::Backend::kScalar); });
-      const double blocked_ms =
-          time_ms([&] { k.call(kern::Backend::kBlocked); });
+      const double scalar_ms = time_ms(k.scalar);
+      const double blocked_ms = time_ms(k.blocked);
       rows.push_back({k.name, s.name, kern::conv_macs(d), scalar_ms,
                       blocked_ms});
       std::printf("%-28s %-16s %9.3fms %9.3fms %7.2fx\n", s.name, k.name,

@@ -31,7 +31,7 @@
 #include "hw/gap8.hpp"
 #include "models/restcn.hpp"
 #include "models/temponet.hpp"
-#include "nn/kernels/kernels.hpp"
+#include "nn/kernels/registry.hpp"
 #include "runtime/quantize_plan.hpp"
 #include "tensor/tensor.hpp"
 
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
 
   std::printf("int8 quantized runtime vs fp32 compiled plan (min over reps, "
               "ms; i8 kernels: %s)\n",
-              nn::kernels::quant_kernel_variant());
+              nn::kernels::Registry::instance().i8_isa());
   std::printf("%-16s %5s %7s %11s %12s %8s\n", "model", "batch", "threads",
               "fp32_ms", "int8_ms", "speedup");
 
@@ -308,7 +308,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json, "{\n  \"max_threads\": %d,\n", max_threads);
   std::fprintf(json, "  \"i8_kernel_variant\": \"%s\",\n",
-               nn::kernels::quant_kernel_variant());
+               nn::kernels::Registry::instance().i8_isa());
   std::fprintf(json, "  \"worst_batched_temponet_int8_speedup\": %.3f,\n",
                worst_batched_temponet);
   std::fprintf(json, "  \"gap8_macs_all_match\": %s,\n",

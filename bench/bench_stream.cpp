@@ -33,7 +33,7 @@
 #include "data/dataloader.hpp"
 #include "data/dataset.hpp"
 #include "models/temponet.hpp"
-#include "nn/kernels/kernels.hpp"
+#include "nn/kernels/registry.hpp"
 #include "runtime/quantize_plan.hpp"
 #include "serve/session_manager.hpp"
 #include "tensor/tensor.hpp"
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
               "%lld channels per step; i8 kernels: %s; session shards: %zu\n",
               static_cast<long long>(fp32->input_channels()),
               static_cast<long long>(fp32->output_channels()),
-              nn::kernels::quant_kernel_variant(), session_shards);
+              nn::kernels::Registry::instance().i8_isa(), session_shards);
   std::printf("%-6s %-10s %9s %14s %9s %9s\n", "dtype", "mode", "sessions",
               "steps/sec", "p50_us", "p99_us");
 
@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
   std::fprintf(json, "{\n  \"hardware_threads\": %d,\n", hw_threads);
   std::fprintf(json, "  \"session_shards\": %zu,\n", session_shards);
   std::fprintf(json, "  \"i8_kernel_variant\": \"%s\",\n",
-               nn::kernels::quant_kernel_variant());
+               nn::kernels::Registry::instance().i8_isa());
   std::fprintf(json, "  \"model\": \"temponet_backbone_paper\",\n");
   std::fprintf(json, "  \"int8_over_fp32_stream_speedup\": %.3f,\n",
                dtype_speedup);

@@ -26,7 +26,7 @@
 #include "data/dataloader.hpp"
 #include "data/dataset.hpp"
 #include "models/temponet.hpp"
-#include "nn/kernels/kernels.hpp"
+#include "nn/kernels/registry.hpp"
 #include "runtime/quantize_plan.hpp"
 
 namespace {
@@ -89,7 +89,7 @@ int main() {
   const auto int8_plan = runtime::compile_quantized(model, loader);
   std::printf("%s\n", int8_plan->summary().c_str());
   std::printf("i8 kernel variant on this host: %s\n",
-              nn::kernels::quant_kernel_variant());
+              nn::kernels::Registry::instance().i8_isa());
   std::printf("fp32 params: %lld floats (%lld bytes); int8 weights: %lld "
               "bytes\n\n",
               static_cast<long long>(fp32_plan->param_floats()),

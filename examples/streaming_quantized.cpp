@@ -20,7 +20,7 @@
 #include "data/dataloader.hpp"
 #include "data/dataset.hpp"
 #include "models/temponet.hpp"
-#include "nn/kernels/kernels.hpp"
+#include "nn/kernels/registry.hpp"
 #include "runtime/quantize_plan.hpp"
 #include "serve/session_manager.hpp"
 #include "tensor/tensor.hpp"
@@ -86,7 +86,7 @@ int main() {
               static_cast<long long>(int8->quant_weight_bytes()),
               static_cast<long long>(int8->quant_arena_bytes_per_sample()),
               int8->quant_error_bound(), int8->quant_error_estimate(),
-              nn::kernels::quant_kernel_variant());
+              nn::kernels::Registry::instance().i8_isa());
 
   // 3. Serve three concurrent streams over the ONE shared int8 plan.
   serve::SessionManager manager(int8);

@@ -11,8 +11,12 @@ registry refactor removed. This check makes that regression loud:
   - every src/runtime/executor_*.cpp must include
     "nn/kernels/registry.hpp" (the only sanctioned kernel surface);
   - none of them may reference nn/kernels/kernels.hpp, the per-ISA impl
-    TUs (blocked_impl / quant_impl), the dispatch layer, or
-    resolve_backend.
+    TUs (blocked_impl / quant_impl), or the dispatch layer;
+  - none of them may name a per-call kernel entry point: the autograd
+    conv_forward / conv_backward_* (which look the kernel up on every
+    call), or the per-call inference wrappers the registry replaced
+    (conv_forward_packed, linear_forward, and the *_i8 family), so those
+    cannot come back as a second selection path.
 
 Exits non-zero listing every violation.
 """
@@ -28,8 +32,13 @@ BANNED = (
     "blocked_impl",
     "quant_impl",
     "dispatch",
-    "resolve_backend",
 )
+# Per-call entry points, matched as whole identifiers.
+BANNED_CALLS = re.compile(
+    r"\b(conv_forward|conv_backward_input|conv_backward_weight|"
+    r"conv_forward_packed|linear_forward|conv_forward_packed_i8|"
+    r"linear_forward_i8|add_forward_i8|quantize_interleave_i8|"
+    r"conv_step_i8)\b")
 
 
 def main() -> int:
@@ -51,6 +60,13 @@ def main() -> int:
                         f"{rel}:{lineno}: references '{needle}' — executors "
                         f"must use the kernel pointers bound on the plan, "
                         f"not raw impls or per-call dispatch")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            match = BANNED_CALLS.search(line)
+            if match:
+                errors.append(
+                    f"{rel}:{lineno}: names the per-call kernel entry point "
+                    f"'{match.group(1)}' — executors run only the kernels "
+                    f"bound on the plan")
     for err in errors:
         print(err)
     checked = ", ".join(str(p.relative_to(ROOT)) for p in executors)

@@ -11,9 +11,8 @@ the executors assume but no compiler enforces:
    with no hidden coupling" contract (and the thread-safety story that
    lets one plan serve many threads). Detected: non-const `static`
    declarations, `thread_local`, and namespace-scope `g_*` variables.
-   The one allowed exception is dispatch.cpp's `g_default` — the
-   documented set_default_backend() override surface, read once at
-   registry construction.
+   There are no exemptions: kernel selection lives entirely in the
+   immutable registry.
 
 2. serve-lock-order — src/serve, src/net, and the plan registry their
    sessions pin versions through acquire their mutexes in one global
@@ -46,8 +45,9 @@ the executors assume but no compiler enforces:
 Usage::
 
     check_invariants.py [repo_root]    # default: script's parent repo
-    check_invariants.py --self-test    # prove the scanner catches
-                                       # inversions (negative tests)
+    check_invariants.py --self-test    # prove the scanners catch lock
+                                       # inversions and kernel-layer
+                                       # state (negative tests)
 
 Exit 1 with a per-violation report when any rule is broken.
 """
@@ -56,9 +56,6 @@ import re
 import sys
 
 # ---- rule 1: no mutable state in the kernel layer --------------------------
-
-# (file name, variable) pairs exempt from the kernel-state rule.
-KERNEL_STATE_ALLOWED = {("dispatch.cpp", "g_default")}
 
 STATIC_MUTABLE = re.compile(r"^\s*(?:inline\s+)?static\s+(?!const\b|constexpr\b)")
 THREAD_LOCAL = re.compile(r"\bthread_local\b")
@@ -71,28 +68,30 @@ CONST_DECL = re.compile(r"\b(?:const|constexpr)\b")
 FUNCTION_DECL = re.compile(r"\w\s*\(")
 
 
+def scan_kernel_state(text, relname, violations):
+    for lineno, line in enumerate(text.splitlines(), 1):
+        code = line.split("//")[0]
+        flagged = None
+        if THREAD_LOCAL.search(code):
+            flagged = "thread_local state"
+        elif (STATIC_MUTABLE.search(code)
+              and CONST_DECL.search(code) is None
+              and FUNCTION_DECL.search(code) is None):
+            flagged = "non-const static"
+        else:
+            m = GLOBAL_VAR.search(code)
+            if m and CONST_DECL.search(code) is None:
+                flagged = f"namespace-scope variable 'g_{m.group(1)}'"
+        if flagged:
+            violations.append(
+                f"{relname}:{lineno}: kernels-no-mutable-state: {flagged} "
+                f"in the kernel layer: {line.strip()}")
+
+
 def check_kernel_state(root, violations):
     for path in sorted((root / "src" / "nn" / "kernels").glob("*.[ch]pp")):
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            code = line.split("//")[0]
-            flagged = None
-            if THREAD_LOCAL.search(code):
-                flagged = "thread_local state"
-            elif (STATIC_MUTABLE.search(code)
-                  and CONST_DECL.search(code) is None
-                  and FUNCTION_DECL.search(code) is None):
-                flagged = "non-const static"
-            else:
-                m = GLOBAL_VAR.search(code)
-                if m and CONST_DECL.search(code) is None:
-                    if (path.name, "g_" + m.group(1)) in KERNEL_STATE_ALLOWED:
-                        continue
-                    flagged = f"namespace-scope variable 'g_{m.group(1)}'"
-            if flagged:
-                violations.append(
-                    f"{path.relative_to(root)}:{lineno}: "
-                    f"kernels-no-mutable-state: {flagged} in the kernel "
-                    f"layer: {line.strip()}")
+        scan_kernel_state(path.read_text(), path.relative_to(root),
+                          violations)
 
 
 # ---- rule 2: serve lock order ----------------------------------------------
@@ -244,7 +243,7 @@ def check_entry_points(root, violations):
                 f"contains {marker} — the entry-point guard was removed")
 
 
-# ---- self-test: prove the lock-order scanner actually catches bugs --------
+# ---- self-test: prove the scanners actually catch bugs ---------------------
 
 # (name, snippet, expected number of violations). The snippets are the
 # exact inversions the rule exists to catch; a scanner change that stops
@@ -318,11 +317,41 @@ void bad() {
 ]
 
 
+# (name, snippet, expected number of violations) for the kernel-state
+# scanner: the mutable state it must flag — the shape of the old per-call
+# backend override, a `g_` global — and the immutable forms the kernel
+# layer legitimately uses, which must pass.
+KERNEL_STATE_CASES = [
+    ("mutable kernel-layer state is flagged", """
+namespace {
+int g_engine = 0;
+static int calls = 0;
+thread_local float scratch[64];
+}  // namespace
+void set_engine(int e) { g_engine = e; }
+""", 3),
+    ("immutable state and plain uses pass", """
+namespace {
+constexpr index_t kBlockedMinMacs = 16384;
+const char* const g_names[] = {"base", "v3"};
+}  // namespace
+const Registry& Registry::instance() {
+  static const Registry reg;
+  return reg;
+}
+static KernelFootprint exact_footprint();
+index_t twice(index_t g_count) { return g_count * 2; }
+""", 0),
+]
+
+
 def self_test():
     failures = 0
-    for name, snippet, expected in SELF_TEST_CASES:
+    cases = ([(n, t, e, scan_lock_order) for n, t, e in SELF_TEST_CASES] +
+             [(n, t, e, scan_kernel_state) for n, t, e in KERNEL_STATE_CASES])
+    for name, snippet, expected, scan in cases:
         violations = []
-        scan_lock_order(snippet, "<self-test>", violations)
+        scan(snippet, "<self-test>", violations)
         status = "ok" if len(violations) == expected else "FAIL"
         if status == "FAIL":
             failures += 1
@@ -334,8 +363,7 @@ def self_test():
     if failures:
         print(f"\ncheck_invariants --self-test: {failures} case(s) failed")
         return 1
-    print(f"check_invariants --self-test: OK "
-          f"({len(SELF_TEST_CASES)} cases)")
+    print(f"check_invariants --self-test: OK ({len(cases)} cases)")
     return 0
 
 

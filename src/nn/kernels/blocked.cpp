@@ -1,11 +1,12 @@
-// Blocked backend entry points: runtime ISA selection over the per-level
-// kernel variants in blocked_impl.cpp.
+// Blocked engine registration: the per-level fp32 kernel variants of
+// blocked_impl.cpp, registered at the host's widest ISA level.
 //
 // CMake builds blocked_impl.cpp once at the portable baseline and, on
 // x86-64 hosts whose compiler supports the flags, again at the
 // x86-64-v3 (AVX2+FMA) and x86-64-v4 (AVX-512) micro-architecture levels
 // (PIT_KERNELS_HAVE_V3 / PIT_KERNELS_HAVE_V4). The widest level the
-// running CPU reports via __builtin_cpu_supports wins, checked once.
+// running CPU supports wins, checked once, in register_kernels — the only
+// fp32 ISA ladder.
 #include "nn/kernels/registry.hpp"
 
 namespace pit::nn::kernels::blocked {
@@ -56,90 +57,9 @@ PIT_DECLARE_BLOCKED_VARIANT(v4)
 #undef PIT_DECLARE_PACKED_K
 #undef PIT_DECLARE_STEP_K
 
-namespace {
-
-using ForwardFn = void (*)(const float*, const float*, const float*, float*,
-                           const ConvDims&);
-using BackwardInputFn = void (*)(const float*, const float*, float*,
-                                 const ConvDims&);
-using BackwardWeightFn = void (*)(const float*, const float*, float*,
-                                  const ConvDims&);
-using ForwardPackedFn = void (*)(const float*, const float*, const float*,
-                                 float*, const ConvDims&, index_t, index_t,
-                                 bool, bool);
-using LinearFn = void (*)(const float*, const float*, const float*, float*,
-                          index_t, index_t, index_t, bool);
-
-struct VariantTable {
-  ForwardFn forward;
-  BackwardInputFn backward_input;
-  BackwardWeightFn backward_weight;
-  ForwardPackedFn forward_packed;
-  LinearFn linear;
-};
-
-VariantTable pick_variant() {
-#if defined(PIT_KERNELS_HAVE_V3) || defined(PIT_KERNELS_HAVE_V4)
-  __builtin_cpu_init();
-#endif
-#ifdef PIT_KERNELS_HAVE_V4
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return {v4::conv_forward, v4::conv_backward_input,
-            v4::conv_backward_weight, v4::conv_forward_packed,
-            v4::linear_forward};
-  }
-#endif
-#ifdef PIT_KERNELS_HAVE_V3
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {v3::conv_forward, v3::conv_backward_input,
-            v3::conv_backward_weight, v3::conv_forward_packed,
-            v3::linear_forward};
-  }
-#endif
-  return {base::conv_forward, base::conv_backward_input,
-          base::conv_backward_weight, base::conv_forward_packed,
-          base::linear_forward};
-}
-
-const VariantTable& variant() {
-  static const VariantTable table = pick_variant();
-  return table;
-}
-
-}  // namespace
-
-void conv_forward(const float* x, const float* w, const float* bias, float* y,
-                  const ConvDims& d) {
-  variant().forward(x, w, bias, y, d);
-}
-
-void conv_backward_input(const float* dy, const float* w, float* dx,
-                         const ConvDims& d) {
-  variant().backward_input(dy, w, dx, d);
-}
-
-void conv_backward_weight(const float* dy, const float* x, float* dw,
-                          const ConvDims& d) {
-  variant().backward_weight(dy, x, dw, d);
-}
-
-void conv_forward_packed(const float* x, const float* wp, const float* bias,
-                         float* y, const ConvDims& d, index_t x_stride,
-                         index_t y_stride, bool x_padded, bool relu) {
-  variant().forward_packed(x, wp, bias, y, d, x_stride, y_stride, x_padded,
-                           relu);
-}
-
-void linear_forward(const float* x, const float* w, const float* bias,
-                    float* y, index_t n, index_t f, index_t o, bool relu) {
-  variant().linear(x, w, bias, y, n, f, o, relu);
-}
-
-// Resolves the ISA level once (same ladder as pick_variant) and registers
-// that level's generic kernels plus the k-specialized instantiations.
+// Resolves the ISA level once and registers that level's training kernels
+// (forward, backward-input, backward-weight), its generic inference
+// kernels, and the k-specialized instantiations.
 // Specialized packed-conv/step variants additionally require a
 // quad-aligned c_in so the k unroll never meets a ragged channel tail.
 void register_kernels(Registry& r) {
@@ -149,7 +69,8 @@ void register_kernels(Registry& r) {
   r.add_conv_step_f32(&ns::conv_step_k##K, "k" #K, isa, K, true);
 #define PIT_REG_BLOCKED_NS(ns, isa)                                         \
   do {                                                                      \
-    r.add_conv_train_f32(&ns::conv_forward, "train", isa);                  \
+    r.add_conv_train_f32(&ns::conv_forward, &ns::conv_backward_input,       \
+                         &ns::conv_backward_weight, isa);                   \
     r.add_conv_packed_f32(&ns::conv_forward_packed, "generic", isa, 0,      \
                           false);                                           \
     r.add_conv_step_f32(&ns::conv_step, "generic", isa, 0, false);          \

@@ -1,120 +1,32 @@
-// Runtime backend selection for the convolution kernel engine.
-//
-// Resolution order for a Backend::kAuto request:
-//   1. set_default_backend() override (tests / benches),
-//   2. PIT_CONV_BACKEND environment variable ("auto" / "scalar" /
-//      "blocked"; anything else throws at the first dispatched conv),
-//   3. problem-size heuristic: blocked once the MAC count can amortise
-//      tile setup; tiny problems stay on the leaner scalar loops.
-#include <cstring>
-
+// Autograd entry points and the fp32 weight packer. The training kernels
+// come from the registry's binding for the problem's geometry, so autograd
+// runs the same ISA level as a compiled plan's strided conv.
 #include "nn/kernels/registry.hpp"
-#include "tensor/error.hpp"
 
 namespace pit::nn::kernels {
-namespace {
-
-// Below ~16k MACs the blocked engine's tile setup and OpenMP fork cost
-// more than they save (measured on the bench_kernels shapes).
-constexpr index_t kBlockedMinMacs = 16384;
-
-Backend env_backend() {
-  // PIT_CONV_BACKEND is read and parsed exactly once, when the kernel
-  // registry is constructed; an unknown value throws from there at the
-  // first dispatched conv. A typo (PIT_CONV_BACKEND=block) must fail
-  // loudly, not silently run the heuristic the user thought they had
-  // overridden.
-  return Registry::instance().env_filter();
-}
-
-Backend g_default = Backend::kAuto;
-
-}  // namespace
-
-Backend parse_backend_name(const char* value) {
-  PIT_CHECK(value != nullptr, "parse_backend_name: null value");
-  if (std::strcmp(value, "auto") == 0) {
-    return Backend::kAuto;
-  }
-  if (std::strcmp(value, "scalar") == 0) {
-    return Backend::kScalar;
-  }
-  if (std::strcmp(value, "blocked") == 0) {
-    return Backend::kBlocked;
-  }
-  PIT_CHECK(false, "unknown conv backend \""
-                       << value
-                       << "\" — PIT_CONV_BACKEND accepts \"auto\", "
-                          "\"scalar\" or \"blocked\"");
-  return Backend::kAuto;  // unreachable
-}
-
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kBlocked:
-      return "blocked";
-    case Backend::kAuto:
-      break;
-  }
-  return "auto";
-}
-
-void set_default_backend(Backend b) { g_default = b; }
-
-Backend default_backend() { return g_default; }
 
 index_t conv_macs(const ConvDims& d) {
   return d.n * d.c_out * d.c_in * d.k * d.t_out;
 }
 
-Backend resolve_backend(Backend requested, const ConvDims& d) {
-  if (requested != Backend::kAuto) {
-    return requested;
-  }
-  if (g_default != Backend::kAuto) {
-    return g_default;
-  }
-  if (env_backend() != Backend::kAuto) {
-    return env_backend();
-  }
-  return conv_macs(d) >= kBlockedMinMacs ? Backend::kBlocked
-                                         : Backend::kScalar;
-}
-
 void conv_forward(const float* x, const float* w, const float* bias, float* y,
-                  const ConvDims& d, Backend backend) {
-  if (resolve_backend(backend, d) == Backend::kBlocked) {
-    blocked::conv_forward(x, w, bias, y, d);
-  } else {
-    scalar::conv_forward(x, w, bias, y, d);
-  }
+                  const ConvDims& d) {
+  Registry::instance().conv_train_f32(d).forward(x, w, bias, y, d);
 }
 
 void conv_backward_input(const float* dy, const float* w, float* dx,
-                         const ConvDims& d, Backend backend) {
-  if (resolve_backend(backend, d) == Backend::kBlocked) {
-    blocked::conv_backward_input(dy, w, dx, d);
-  } else {
-    scalar::conv_backward_input(dy, w, dx, d);
-  }
+                         const ConvDims& d) {
+  Registry::instance().conv_train_f32(d).backward_input(dy, w, dx, d);
 }
 
 void conv_backward_weight(const float* dy, const float* x, float* dw,
-                          const ConvDims& d, Backend backend) {
-  if (resolve_backend(backend, d) == Backend::kBlocked) {
-    blocked::conv_backward_weight(dy, x, dw, d);
-  } else {
-    scalar::conv_backward_weight(dy, x, dw, d);
-  }
+                          const ConvDims& d) {
+  Registry::instance().conv_train_f32(d).backward_weight(dy, x, dw, d);
 }
 
 void conv_backward_bias(const float* dy, float* db, const ConvDims& d) {
   scalar::conv_backward_bias(dy, db, d);
 }
-
-// ---- Inference entry points ---------------------------------------------
 
 index_t packed_weight_floats(const ConvDims& d) {
   const index_t co_round = (d.c_out + kPackCo - 1) / kPackCo * kPackCo;
@@ -134,22 +46,6 @@ void pack_conv_weight(const float* w, const ConvDims& d, float* out) {
       }
     }
   }
-}
-
-void conv_forward_packed(const float* x, const float* wp, const float* bias,
-                         float* y, const ConvDims& d, index_t x_stride,
-                         index_t y_stride, bool x_padded, bool relu) {
-  PIT_CHECK(d.stride == 1,
-            "conv_forward_packed: stride must be 1, got " << d.stride);
-  PIT_CHECK(x_stride >= d.t_in && y_stride >= d.t_out,
-            "conv_forward_packed: row strides must cover the data");
-  blocked::conv_forward_packed(x, wp, bias, y, d, x_stride, y_stride,
-                               x_padded, relu);
-}
-
-void linear_forward(const float* x, const float* w, const float* bias,
-                    float* y, index_t n, index_t f, index_t o, bool relu) {
-  blocked::linear_forward(x, w, bias, y, n, f, o, relu);
 }
 
 }  // namespace pit::nn::kernels

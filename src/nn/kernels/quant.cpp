@@ -1,5 +1,6 @@
-// int8 kernel entry points: runtime ISA selection over the per-level
-// variants in quant_impl.cpp, plus the (ISA-independent) weight packers.
+// int8 kernel registration: the per-level variants of quant_impl.cpp,
+// registered at the host's widest ISA level (the only i8 ISA ladder), plus
+// the (ISA-independent) weight packer.
 //
 // CMake builds quant_impl.cpp at the portable baseline and, where the
 // compiler supports the flags, again at x86-64-v3, x86-64-v4, and
@@ -10,7 +11,6 @@
 #include <algorithm>
 
 #include "nn/kernels/registry.hpp"
-#include "tensor/error.hpp"
 
 namespace pit::nn::kernels {
 
@@ -67,73 +67,8 @@ PIT_DECLARE_QUANT_VARIANT(vnni)
 #undef PIT_DECLARE_QCONV_K
 #undef PIT_DECLARE_QSTEP_K
 
-namespace {
-
-using ConvI8Fn = void (*)(const std::uint8_t*, const std::int8_t*,
-                          const float*, const float*, std::uint8_t*, float*,
-                          const ConvDims&, index_t, index_t, bool, int);
-using AddI8Fn = void (*)(const std::uint8_t*, const std::uint8_t*,
-                         std::uint8_t*, index_t, index_t, index_t, index_t,
-                         index_t, float, float, float, int);
-using StageI8Fn = void (*)(const float*, std::uint8_t*, index_t, index_t,
-                           index_t, index_t, index_t, float, int);
-using StepI8Fn = void (*)(const std::uint8_t*, const std::int8_t*,
-                          const float*, const float*, std::uint8_t*, float*,
-                          index_t, index_t, index_t, index_t, index_t,
-                          index_t, bool, int);
-
-struct VariantTable {
-  ConvI8Fn conv;
-  AddI8Fn add;
-  StageI8Fn stage;
-  StepI8Fn step;
-  const char* name;
-};
-
-VariantTable pick_variant() {
-#if defined(PIT_KERNELS_HAVE_V3) || defined(PIT_KERNELS_HAVE_V4) || \
-    defined(PIT_KERNELS_HAVE_VNNI)
-  __builtin_cpu_init();
-#endif
-#ifdef PIT_KERNELS_HAVE_VNNI
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512vnni")) {
-    return {vnni::conv_forward_packed_i8, vnni::add_forward_i8,
-            vnni::quantize_interleave_i8, vnni::conv_step_i8, "vnni"};
-  }
-#endif
-#ifdef PIT_KERNELS_HAVE_V4
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return {v4::conv_forward_packed_i8, v4::add_forward_i8,
-            v4::quantize_interleave_i8, v4::conv_step_i8, "v4"};
-  }
-#endif
-#ifdef PIT_KERNELS_HAVE_V3
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {v3::conv_forward_packed_i8, v3::add_forward_i8,
-            v3::quantize_interleave_i8, v3::conv_step_i8, "v3"};
-  }
-#endif
-  return {base::conv_forward_packed_i8, base::add_forward_i8,
-            base::quantize_interleave_i8, base::conv_step_i8, "base"};
-}
-
-const VariantTable& variant() {
-  static const VariantTable table = pick_variant();
-  return table;
-}
-
-}  // namespace
-
-// Resolves the ISA level once (same ladder as pick_variant, including the
-// VNNI tier) and registers that level's generic i8 kernels plus the
-// k-specialized instantiations. i8 specialization keys on k alone — the
+// Resolves the ISA level once (including the VNNI tier) and registers
+// that level's generic i8 kernels plus the k-specialized instantiations. i8 specialization keys on k alone — the
 // C4-interleaved layout already pads ragged channel quads.
 void register_kernels(Registry& r) {
 #define PIT_REG_QUANT_K(ns, isa, K)                                         \
@@ -213,70 +148,5 @@ void pack_conv_weight_i8(const std::int8_t* w, const ConvDims& d,
     }
   }
 }
-
-void conv_forward_packed_i8(const std::uint8_t* x, const std::int8_t* wp,
-                            const float* m, const float* b, std::uint8_t* y_q,
-                            float* y_f, const ConvDims& d, index_t x_stride,
-                            index_t y_stride, bool relu, int out_lo) {
-  PIT_CHECK(d.stride == 1,
-            "conv_forward_packed_i8: stride must be 1, got " << d.stride);
-  PIT_CHECK((y_q == nullptr) != (y_f == nullptr),
-            "conv_forward_packed_i8: exactly one of y_q / y_f");
-  quant::variant().conv(x, wp, m, b, y_q, y_f, d, x_stride, y_stride, relu,
-                        out_lo);
-}
-
-void linear_forward_i8(const std::uint8_t* x, const std::int8_t* wp,
-                       const float* m, const float* b, std::uint8_t* y_q,
-                       float* y_f, index_t n, index_t f4, index_t o,
-                       bool relu, int out_lo) {
-  PIT_CHECK(f4 % kQuantCiGroup == 0,
-            "linear_forward_i8: features must be a multiple of 4, got "
-                << f4);
-  // A fully-connected layer is the k = 1, t = 1 case of the quantized
-  // conv: per-sample feature bytes are one contiguous run of quads, and
-  // u8 outputs are contiguous round_up(o, 4)-byte rows.
-  ConvDims d{};
-  d.n = n;
-  d.c_in = f4;
-  d.c_out = o;
-  d.k = 1;
-  d.t_in = 1;
-  d.t_out = 1;
-  d.dilation = 1;
-  d.stride = 1;
-  conv_forward_packed_i8(x, wp, m, b, y_q, y_f, d, /*x_stride=*/1,
-                         /*y_stride=*/1, relu, out_lo);
-}
-
-void add_forward_i8(const std::uint8_t* a, const std::uint8_t* b,
-                    std::uint8_t* y, index_t rows, index_t steps,
-                    index_t a_stride, index_t b_stride, index_t y_stride,
-                    float a_mul, float b_mul, float c_add, int out_lo) {
-  quant::variant().add(a, b, y, rows, steps, a_stride, b_stride, y_stride,
-                       a_mul, b_mul, c_add, out_lo);
-}
-
-void quantize_interleave_i8(const float* in, std::uint8_t* out, index_t n,
-                            index_t channels, index_t steps, index_t lead,
-                            index_t stride, float inv_scale, int zp) {
-  quant::variant().stage(in, out, n, channels, steps, lead, stride,
-                         inv_scale, zp);
-}
-
-void conv_step_i8(const std::uint8_t* ring, const std::int8_t* wp,
-                  const float* m, const float* b, std::uint8_t* y_q,
-                  float* y_f, index_t c_in, index_t c_out, index_t k,
-                  index_t dilation, index_t span, index_t pos, bool relu,
-                  int out_lo) {
-  PIT_CHECK((y_q == nullptr) != (y_f == nullptr),
-            "conv_step_i8: exactly one of y_q / y_f");
-  PIT_CHECK(span == (k - 1) * dilation + 1 && pos >= 0 && pos < span,
-            "conv_step_i8: ring geometry span=" << span << " pos=" << pos);
-  quant::variant().step(ring, wp, m, b, y_q, y_f, c_in, c_out, k, dilation,
-                        span, pos, relu, out_lo);
-}
-
-const char* quant_kernel_variant() { return quant::variant().name; }
 
 }  // namespace pit::nn::kernels

@@ -1,8 +1,6 @@
 // Registry construction and bind logic. See registry.hpp for the model.
 #include "nn/kernels/registry.hpp"
 
-#include <cstdlib>
-
 #include "tensor/error.hpp"
 
 namespace pit::nn::kernels {
@@ -15,14 +13,11 @@ const Registry& Registry::instance() {
   return reg;
 }
 
-Registry::Registry() {
-  // The single PIT_CONV_BACKEND read of the process. An unknown value
-  // throws here — i.e. at the first registry use — so a typo
-  // (PIT_CONV_BACKEND=block) still fails loudly instead of silently
-  // running the heuristic the user thought they had overridden.
-  const char* v = std::getenv("PIT_CONV_BACKEND");
-  env_filter_ = v == nullptr ? Backend::kAuto : parse_backend_name(v);
-  add_conv_train_f32(&scalar::conv_forward, "train", "scalar");
+Registry::Registry()
+    : train_scalar_{&scalar::conv_forward,
+                    &scalar::conv_backward_input,
+                    &scalar::conv_backward_weight,
+                    {"conv.train.f32", "train", "scalar", false}} {
   blocked::register_kernels(*this);
   quant::register_kernels(*this);
   fp32_isa_ = conv_packed_f32_generic().meta->isa;
@@ -32,14 +27,6 @@ Registry::Registry() {
 const KernelMeta& Registry::inline_meta() {
   static const KernelMeta meta{"builtin", "inline", "cpp", false};
   return meta;
-}
-
-bool Registry::specialization_enabled() const {
-  // An explicit scalar/blocked override — set_default_backend() or the
-  // env var — says "run the engine I named": pin the generic variants.
-  const Backend effective =
-      default_backend() != Backend::kAuto ? default_backend() : env_filter_;
-  return effective == Backend::kAuto;
 }
 
 template <typename Fn>
@@ -67,33 +54,27 @@ Bound<Fn> Registry::bind(const std::vector<Entry<Fn>>& table,
 }
 
 Bound<ConvPackedF32Fn> Registry::conv_packed_f32(const ConvSig& sig) const {
-  return bind(conv_packed_f32_, sig, specialization_enabled());
+  return bind(conv_packed_f32_, sig, true);
 }
 
 Bound<ConvStepF32Fn> Registry::conv_step_f32(const ConvSig& sig) const {
-  return bind(conv_step_f32_, sig, specialization_enabled());
+  return bind(conv_step_f32_, sig, true);
 }
 
 Bound<LinearF32Fn> Registry::linear_f32() const {
   return bind(linear_f32_, ConvSig{}, false);
 }
 
-Bound<ConvTrainF32Fn> Registry::conv_train_f32(const ConvDims& dims) const {
-  // The strided path keeps the full historical resolution order
-  // (set_default_backend / env var / MAC heuristic) — evaluated once
-  // here, for the op's fixed geometry, instead of per forward() call.
-  const Backend b = resolve_backend(Backend::kAuto, dims);
-  return bind(b == Backend::kBlocked ? conv_train_blocked_
-                                     : conv_train_scalar_,
-              ConvSig{}, false);
+const ConvTrainF32& Registry::conv_train_f32(const ConvDims& dims) const {
+  return conv_macs(dims) >= kBlockedMinMacs ? train_blocked_ : train_scalar_;
 }
 
 Bound<ConvPackedI8Fn> Registry::conv_packed_i8(const ConvSig& sig) const {
-  return bind(conv_packed_i8_, sig, specialization_enabled());
+  return bind(conv_packed_i8_, sig, true);
 }
 
 Bound<ConvStepI8Fn> Registry::conv_step_i8(const ConvSig& sig) const {
-  return bind(conv_step_i8_, sig, specialization_enabled());
+  return bind(conv_step_i8_, sig, true);
 }
 
 Bound<AddI8Fn> Registry::add_i8() const {
@@ -156,13 +137,12 @@ void Registry::add_linear_f32(LinearF32Fn fn, const char* isa) {
   linear_f32_.push_back({fn, {"linear.f32", "generic", isa, false}, 0, false});
 }
 
-void Registry::add_conv_train_f32(ConvTrainF32Fn fn, const char* variant,
+void Registry::add_conv_train_f32(ConvTrainF32Fn forward,
+                                  ConvBackwardInputF32Fn backward_input,
+                                  ConvBackwardWeightF32Fn backward_weight,
                                   const char* isa) {
-  // Scalar vs blocked is keyed on the variant's ISA name: "scalar" is the
-  // reference loop, anything else is a blocked-engine level.
-  auto& dest = (isa != nullptr && isa[0] == 's') ? conv_train_scalar_
-                                                 : conv_train_blocked_;
-  dest.push_back({fn, {"conv.train.f32", variant, isa, false}, 0, false});
+  train_blocked_ = {forward, backward_input, backward_weight,
+                    {"conv.train.f32", "train", isa, false}};
 }
 
 void Registry::add_conv_packed_i8(ConvPackedI8Fn fn, const char* variant,

@@ -3,20 +3,22 @@
 // PIT's whole point is that search freezes the architecture: a compiled
 // plan knows every op's (k, dilation, c_in, c_out, dtype) at compile()
 // time, so nothing about kernel selection needs to happen per call. The
-// registry is the single place where kernel variants live, keyed by
+// registry is the only place a kernel is chosen, keyed by
 //
 //   op class x shape class x ISA level x dtype
 //
 // - op class: what the kernel computes (packed fp32 conv, fp32 linear,
-//   fp32 streaming step, strided/training conv, i8 conv, i8 add, i8 input
+//   fp32 streaming step, fp32 training conv, i8 conv, i8 add, i8 input
 //   staging, i8 streaming step) — one typed bind method each.
 // - shape class: the signature constraints a specialized variant demands
 //   (exact tap count k, quad-aligned c_in). Generic variants carry no
 //   constraints and are the guaranteed fallback: an unmatched signature
-//   binds generic, it never fails.
-// - ISA level: resolved ONCE at registry construction via
-//   __builtin_cpu_supports (the same base/v3/v4[/vnni] ladder the old
-//   per-call VariantTable walked); only the winning level's function
+//   binds generic, it never fails. The training kernels key on the MAC
+//   count instead: the scalar reference below kBlockedMinMacs, the blocked
+//   engine from there on.
+// - ISA level: resolved ONCE at registry construction from the CPU's
+//   feature bits (one base/v3/v4 ladder per dtype, in blocked.cpp's and
+//   quant.cpp's register_kernels); only the winning level's function
 //   pointers are registered, so a bound kernel is a direct call.
 // - dtype: fp32 vs i8 (separate op classes; the i8 ladder adds "vnni").
 //
@@ -25,18 +27,8 @@
 // plus a KernelMeta describing what was bound) on the op. The executors
 // (runtime/executor_*.cpp) consume kernels ONLY through those bindings —
 // scripts/check_includes.py enforces that they include this header and
-// never the raw impl entry points.
-//
-// PIT_CONV_BACKEND is parsed exactly once, at registry construction, with
-// the same accepted values ("auto" / "scalar" / "blocked") and the same
-// loud error for anything else. It acts as a registry *filter*:
-//   - the strided (training-kernel) conv path resolves scalar-vs-blocked
-//     through the usual override order (set_default_backend, then the env
-//     var, then the MAC-count heuristic) — but at bind time, not per call;
-//   - an explicit "scalar" or "blocked" override also pins the packed
-//     inference paths to their generic variants (the plain, debuggable
-//     kernels), since an override says "run the engine I named, not
-//     whatever the signature matcher picks".
+// never the raw impl entry points. The autograd path (kernels.hpp's
+// conv_forward / conv_backward_*) looks up the training binding per call.
 //
 // Adding a variant: implement it per-ISA in blocked_impl.cpp /
 // quant_impl.cpp, declare it in blocked.cpp / quant.cpp, and register it
@@ -59,45 +51,109 @@ inline constexpr index_t kMaxSpecializedK = 9;
 
 // ---- Kernel function-pointer signatures ---------------------------------
 //
-// These mirror the free-function contracts in kernels.hpp; a bound pointer
-// is the concrete per-ISA implementation with no dispatch wrapper around
-// it (so the executors also skip the wrappers' per-call PIT_CHECKs — the
-// plan proved those invariants at compile time).
+// Each typedef carries its kernel's contract. A bound pointer is the
+// concrete per-ISA implementation with no dispatch wrapper around it, and
+// it does no per-call argument checks: the plan proved those invariants
+// at compile time (runtime/verify.cpp).
 
+/// Packed causal conv, stride 1:
+///   y[n,co,t] = [relu] (bias[co] + sum_{ci,i} wp[...] * x[n,ci,t - i*dil])
+/// over weights packed with pack_conv_weight. `bias` may be null; y is
+/// OVERWRITTEN (no zero-fill needed). `x`/`y` point at the logical t = 0
+/// of channel row 0; consecutive channel rows are x_stride / y_stride
+/// floats apart (>= t_in / t_out; the sample stride is c * row stride).
+/// With x_padded, the caller guarantees each x row is embedded in a buffer
+/// with >= (k-1)*dilation zeroed floats before it and >= kPackTimeTile
+/// readable floats after it — then every tile runs the register-resident
+/// fast path with no per-tap bounds work. Without it (dense rows, x_stride
+/// == t_in) tiles touching the implicit left padding fall back to clamped
+/// spans. Strided convs take the training kernels instead.
 using ConvPackedF32Fn = void (*)(const float* x, const float* wp,
                                  const float* bias, float* y,
                                  const ConvDims& d, index_t x_stride,
                                  index_t y_stride, bool x_padded, bool relu);
+/// Training-kernel forward, any stride: the contract of kernels.hpp's
+/// conv_forward (accumulates into y; `bias` may be null).
 using ConvTrainF32Fn = void (*)(const float* x, const float* w,
                                 const float* bias, float* y,
                                 const ConvDims& d);
+/// Training-kernel backward-input: conv_backward_input's contract.
+using ConvBackwardInputF32Fn = void (*)(const float* dy, const float* w,
+                                        float* dx, const ConvDims& d);
+/// Training-kernel backward-weight: conv_backward_weight's contract.
+using ConvBackwardWeightF32Fn = void (*)(const float* dy, const float* x,
+                                         float* dw, const ConvDims& d);
+/// y = [relu] (x W^T + b) over (n, f) x (o, f) -> (n, o) with unpacked
+/// row-major W; `bias` may be null. Overwrites y.
 using LinearF32Fn = void (*)(const float* x, const float* w,
                              const float* bias, float* y, index_t n,
                              index_t f, index_t o, bool relu);
 /// Streaming single-step fp32 conv over a dilated ring-buffer history
-/// (the fp32 counterpart of conv_step_i8). The ring holds c_in channel
+/// (the fp32 counterpart of ConvStepI8Fn). The ring holds c_in channel
 /// rows of span = (k-1)*dilation+1 float slots, ring[ci * span + slot],
 /// with the current input already written at slot `pos`; slots the stream
 /// has not reached yet must hold 0.0 (the causal padding). Writes one
 /// step: y[co] = [relu] (bias[co] + sum taps), bias may be null. Weights
-/// are the packed inference layout of conv_forward_packed.
+/// are the packed inference layout of ConvPackedF32Fn.
 using ConvStepF32Fn = void (*)(const float* ring, const float* wp,
                                const float* bias, float* y, index_t c_in,
                                index_t c_out, index_t k, index_t dilation,
                                index_t span, index_t pos, bool relu);
+/// Quantized causal conv, stride 1 (kernels.hpp's int8 layout). `x`
+/// points at the logical t = 0 of channel-group row 0; group rows are
+/// 4 * x_stride bytes apart (x_stride in time steps) and each must be
+/// preceded by >= (k-1)*dilation steps of zero-point bytes (the
+/// materialized causal padding — there is no unpadded fallback). Per
+/// output element: acc = sum u8(x) * s8(w) over c_in * k (int32), then
+/// v = m[co] * acc + b[co] and either
+///   y_q[co-group row, t] = clamp(round(v), out_lo, 255)   (y_f == null)
+///   y_f[co * y_stride + t] = relu ? max(v, 0) : v         (y_f != null)
+/// Exactly one of y_q / y_f is non-null. u8 output rows are y_stride
+/// steps (4 * y_stride bytes) apart; float rows y_stride floats apart.
+/// Padding output lanes get m = 0 so their stores are deterministic.
+/// `out_lo` is the lower u8 clamp (the output zero point when ReLU is
+/// fused, else 0).
+///
+/// A fully-connected layer is the k = 1, t = 1 case: per sample, f4
+/// contiguous feature bytes (a multiple of 4; the flattened C4 block) as
+/// c_in, weights packed with pack_conv_weight_i8 (c_in = f4, k = 1), u8
+/// outputs round_up(o, 4) bytes per sample, x_stride = y_stride = 1.
 using ConvPackedI8Fn = void (*)(const std::uint8_t* x, const std::int8_t* wp,
                                 const float* m, const float* b,
                                 std::uint8_t* y_q, float* y_f,
                                 const ConvDims& d, index_t x_stride,
                                 index_t y_stride, bool relu, int out_lo);
+/// Elementwise requantized residual add over u8 group rows:
+///   y[i] = clamp(round(a_mul * a[i] + b_mul * b[i] + c_add), out_lo, 255)
+/// for the 4 * steps data bytes of each of `rows` rows (strides in time
+/// steps, as in ConvPackedI8Fn). ReLU folds into out_lo.
 using AddI8Fn = void (*)(const std::uint8_t* a, const std::uint8_t* b,
                          std::uint8_t* y, index_t rows, index_t steps,
                          index_t a_stride, index_t b_stride,
                          index_t y_stride, float a_mul, float b_mul,
                          float c_add, int out_lo);
+/// Quantizes a dense float (n, channels, steps) batch into u8
+/// channel-group rows (the input staging of a quantized plan):
+///   q = clamp(round(x * inv_scale) + zp, 0, 255)
+/// Each group row carries `lead` steps of zp bytes before the data (the
+/// materialized causal padding) and is `stride` steps long in total;
+/// padding channel lanes are filled with zp.
 using StageI8Fn = void (*)(const float* in, std::uint8_t* out, index_t n,
                            index_t channels, index_t steps, index_t lead,
                            index_t stride, float inv_scale, int zp);
+/// Single-timestep quantized causal conv over a dilated u8 ring-buffer
+/// history (the streaming counterpart of ConvPackedI8Fn). The ring holds
+/// quant_groups(c_in) group-major channel rows of `span` =
+/// (k-1)*dilation+1 interleaved quad slots:
+///   ring[(group * span + slot) * 4 + lane]
+/// with the current input already written at slot `pos` (0 <= pos < span)
+/// and slot (pos - tap*dilation) mod span holding the input from
+/// tap*dilation steps back — slots the stream has not reached yet must
+/// hold the input value's zero-point byte (the causal padding). Weights,
+/// requantize constants, `relu`, and `out_lo` are exactly those of the
+/// batched kernel; the output is one step: either quant_groups(c_out) u8
+/// quads (`y_q`) or c_out floats (`y_f`), exactly one non-null, matching
+/// the batched kernel's store for the same accumulators bit for bit.
 using ConvStepI8Fn = void (*)(const std::uint8_t* ring,
                               const std::int8_t* wp, const float* m,
                               const float* b, std::uint8_t* y_q, float* y_f,
@@ -121,6 +177,15 @@ struct Bound {
   Fn fn = nullptr;
   const KernelMeta* meta = nullptr;
   explicit operator bool() const { return fn != nullptr; }
+};
+
+/// One engine's training kernels, bound together under one meta: a
+/// strided plan conv binds `forward`; the autograd path calls all three.
+struct ConvTrainF32 {
+  ConvTrainF32Fn forward = nullptr;
+  ConvBackwardInputF32Fn backward_input = nullptr;
+  ConvBackwardWeightF32Fn backward_weight = nullptr;
+  KernelMeta meta;
 };
 
 /// The shape class a plan presents when binding a conv-like op.
@@ -149,24 +214,23 @@ struct KernelFootprint {
 
 class Registry {
  public:
-  /// The process-wide registry. Construction (first call) reads
-  /// PIT_CONV_BACKEND once — an unknown value throws pit::Error naming
-  /// the accepted backends — and registers the widest ISA level the CPU
-  /// supports. Immutable afterwards; safe to use from any thread.
+  /// The process-wide registry. Construction (first call) registers the
+  /// widest ISA level the CPU supports. Immutable afterwards; safe to use
+  /// from any thread.
   static const Registry& instance();
 
   // ---- bind (plan-build time) ------------------------------------------
   // Every bind returns a non-null fn: specialized when the signature
-  // matches a registered variant (and no scalar/blocked override pins
-  // generic), the generic kernel otherwise.
+  // matches a registered variant, the generic kernel otherwise.
 
   Bound<ConvPackedF32Fn> conv_packed_f32(const ConvSig& sig) const;
   Bound<ConvStepF32Fn> conv_step_f32(const ConvSig& sig) const;
   Bound<LinearF32Fn> linear_f32() const;
-  /// Strided convs run the training kernels; scalar-vs-blocked resolves
-  /// here, once, through the usual override order (set_default_backend /
-  /// PIT_CONV_BACKEND / MAC heuristic) for the op's fixed geometry.
-  Bound<ConvTrainF32Fn> conv_train_f32(const ConvDims& dims) const;
+  /// The training kernels for this geometry: the scalar reference below
+  /// kBlockedMinMacs MACs, the blocked engine at the registered ISA level
+  /// from there on. A strided plan conv binds `forward` once, for its
+  /// per-sample geometry; autograd looks the set up per call.
+  const ConvTrainF32& conv_train_f32(const ConvDims& dims) const;
   Bound<ConvPackedI8Fn> conv_packed_i8(const ConvSig& sig) const;
   Bound<ConvStepI8Fn> conv_step_i8(const ConvSig& sig) const;
   Bound<AddI8Fn> add_i8() const;
@@ -178,9 +242,10 @@ class Registry {
   Bound<ConvStepF32Fn> conv_step_f32_generic() const;
   Bound<ConvPackedI8Fn> conv_packed_i8_generic() const;
   Bound<ConvStepI8Fn> conv_step_i8_generic() const;
+  /// The blocked training kernels whatever the problem size (parity tests
+  /// and benches compare them against scalar::).
+  const ConvTrainF32& conv_train_f32_blocked() const { return train_blocked_; }
 
-  /// The PIT_CONV_BACKEND value, parsed exactly once at construction.
-  Backend env_filter() const { return env_filter_; }
   /// ISA level the fp32 / i8 ladders resolved to ("base", "v3", "v4",
   /// and for i8 possibly "vnni").
   const char* fp32_isa() const { return fp32_isa_; }
@@ -218,7 +283,9 @@ class Registry {
   void add_conv_step_f32(ConvStepF32Fn fn, const char* variant,
                          const char* isa, index_t k, bool quad_cin);
   void add_linear_f32(LinearF32Fn fn, const char* isa);
-  void add_conv_train_f32(ConvTrainF32Fn fn, const char* variant,
+  void add_conv_train_f32(ConvTrainF32Fn forward,
+                          ConvBackwardInputF32Fn backward_input,
+                          ConvBackwardWeightF32Fn backward_weight,
                           const char* isa);
   void add_conv_packed_i8(ConvPackedI8Fn fn, const char* variant,
                           const char* isa, index_t k);
@@ -241,26 +308,24 @@ class Registry {
   template <typename Fn>
   Bound<Fn> bind(const std::vector<Entry<Fn>>& table, const ConvSig& sig,
                  bool allow_specialized) const;
-  /// True unless an explicit scalar/blocked override pins generic.
-  bool specialization_enabled() const;
 
   std::vector<Entry<ConvPackedF32Fn>> conv_packed_f32_;
   std::vector<Entry<ConvStepF32Fn>> conv_step_f32_;
   std::vector<Entry<LinearF32Fn>> linear_f32_;
-  std::vector<Entry<ConvTrainF32Fn>> conv_train_scalar_;
-  std::vector<Entry<ConvTrainF32Fn>> conv_train_blocked_;
   std::vector<Entry<ConvPackedI8Fn>> conv_packed_i8_;
   std::vector<Entry<ConvStepI8Fn>> conv_step_i8_;
   std::vector<Entry<AddI8Fn>> add_i8_;
   std::vector<Entry<StageI8Fn>> stage_i8_;
-  Backend env_filter_ = Backend::kAuto;
+  ConvTrainF32 train_scalar_;
+  ConvTrainF32 train_blocked_;
   const char* fp32_isa_ = "base";
   const char* i8_isa_ = "base";
 };
 
 namespace blocked {
-/// Registers the fp32 kernels (generic + specialized) of the widest ISA
-/// level the CPU supports. Called once from the Registry constructor.
+/// Registers the fp32 kernels (training, generic and specialized
+/// inference) of the widest ISA level the CPU supports. Called once from
+/// the Registry constructor.
 void register_kernels(Registry& r);
 }  // namespace blocked
 

@@ -276,8 +276,8 @@ CompiledPlan NetBuilder::compile(ValueId output, WeightPool* pool) && {
           bind.step = step.fn;
           bind.step_meta = step.meta;
         } else {
-          // Strided conv: the historical scalar-vs-blocked resolution
-          // (override, env, MAC heuristic) runs here, once, for the op's
+          // Strided conv: the training kernels' scalar-vs-blocked choice
+          // (the MAC-count heuristic) runs here, once, for the op's
           // per-sample geometry.
           nn::kernels::ConvDims dims{};
           dims.n = 1;
@@ -288,9 +288,9 @@ CompiledPlan NetBuilder::compile(ValueId output, WeightPool* pool) && {
           dims.t_out = op.t_out;
           dims.dilation = op.dilation;
           dims.stride = op.stride;
-          const auto train = reg.conv_train_f32(dims);
-          bind.conv_train = train.fn;
-          bind.meta = train.meta;
+          const auto& train = reg.conv_train_f32(dims);
+          bind.conv_train = train.forward;
+          bind.meta = &train.meta;
         }
         break;
       case detail::OpKind::kLinear: {

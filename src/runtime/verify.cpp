@@ -589,8 +589,9 @@ class PlanVerifier {
             dims.t_out = op.t_out;
             dims.dilation = op.dilation;
             dims.stride = op.stride;
-            const auto train = reg.conv_train_f32(dims);
-            if (bind.conv_train != train.fn || bind.meta != train.meta) {
+            const auto& train = reg.conv_train_f32(dims);
+            if (bind.conv_train != train.forward ||
+                bind.meta != &train.meta) {
               mismatch(oi, "conv.train.f32", "strided conv binding");
             }
           }

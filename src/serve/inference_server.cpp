@@ -57,20 +57,23 @@ void check_sample_shape(const Tensor& input, index_t c, index_t t,
 std::future<Tensor> InferenceServer::submit(Tensor input) {
   check_sample_shape(input, in_channels_, in_steps_,
                      "InferenceServer::submit");
-  Request req;
-  req.input = std::move(input);
-  req.enqueued = std::chrono::steady_clock::now();
-  std::future<Tensor> fut = req.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    PIT_CHECK(!stopping_, "InferenceServer::submit: server is shut down");
-    PIT_CHECK(queue_.size() < options_.max_queue,
-              "InferenceServer::submit: queue full ("
-                  << options_.max_queue << " requests) — backpressure");
-    queue_.push_back(std::move(req));
-    ++stats_.requests;
-  }
-  cv_.notify_one();
+  // The future flavor is the callback path with a completion that fulfils
+  // a promise (shared: Completion is a copyable std::function).
+  auto promise = std::make_shared<std::promise<Tensor>>();
+  std::future<Tensor> fut = promise->get_future();
+  const Admission admission = enqueue(
+      std::move(input), [promise](Tensor&& out, std::exception_ptr err) {
+        if (err) {
+          promise->set_exception(err);
+        } else {
+          promise->set_value(std::move(out));
+        }
+      });
+  PIT_CHECK(admission != Admission::kStopping,
+            "InferenceServer::submit: server is shut down");
+  PIT_CHECK(admission != Admission::kFull,
+            "InferenceServer::submit: queue full ("
+                << options_.max_queue << " requests) — backpressure");
   return fut;
 }
 
@@ -78,21 +81,30 @@ bool InferenceServer::try_submit(Tensor input, Completion done) {
   check_sample_shape(input, in_channels_, in_steps_,
                      "InferenceServer::try_submit");
   PIT_CHECK(done, "InferenceServer::try_submit: empty completion");
+  // A full queue or a shutdown is a load/lifecycle reject: the callback
+  // never runs.
+  return enqueue(std::move(input), std::move(done)) == Admission::kQueued;
+}
+
+InferenceServer::Admission InferenceServer::enqueue(Tensor input,
+                                                    Completion done) {
   Request req;
   req.input = std::move(input);
   req.done = std::move(done);
-  req.async = true;
   req.enqueued = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_ || queue_.size() >= options_.max_queue) {
-      return false;  // load/lifecycle reject — the callback never runs
+    if (stopping_) {
+      return Admission::kStopping;
+    }
+    if (queue_.size() >= options_.max_queue) {
+      return Admission::kFull;
     }
     queue_.push_back(std::move(req));
     ++stats_.requests;
   }
   cv_.notify_one();
-  return true;
+  return Admission::kQueued;
 }
 
 void InferenceServer::worker_loop() {
@@ -177,11 +189,7 @@ void InferenceServer::run_batch(std::vector<Request>& batch,
       Request& req = batch[static_cast<std::size_t>(i)];
       req.delivered = true;  // before the handoff: a throwing callback
                              // must not get a second (error) delivery
-      if (req.async) {
-        req.done(std::move(slice), nullptr);
-      } else {
-        req.promise.set_value(std::move(slice));
-      }
+      req.done(std::move(slice), nullptr);
     }
   } catch (...) {
     const std::exception_ptr err = std::current_exception();
@@ -189,18 +197,8 @@ void InferenceServer::run_batch(std::vector<Request>& batch,
       if (req.delivered) {
         continue;  // success already handed out before the throw
       }
-      if (req.async) {
-        Tensor none;
-        req.done(std::move(none), err);
-        req.delivered = true;
-        continue;
-      }
-      try {
-        req.promise.set_exception(err);
-      } catch (const std::future_error&) {
-        // Promise already satisfied (a set_value partially completed
-        // before the throw) — nothing left to deliver.
-      }
+      req.delivered = true;
+      req.done(Tensor(), err);
     }
   }
 }

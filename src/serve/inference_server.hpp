@@ -119,13 +119,15 @@ class InferenceServer {
  private:
   struct Request {
     Tensor input;
-    std::promise<Tensor> promise;  // future path (unused when async)
-    Completion done;               // callback path (async == true)
-    bool async = false;
+    Completion done;  // submit() passes one that fulfils its promise
     bool delivered = false;  // success already handed out (error barrier)
     std::chrono::steady_clock::time_point enqueued;
   };
 
+  enum class Admission { kQueued, kStopping, kFull };
+  /// Queues one shape-checked request unless the server is stopping or
+  /// the queue is full; the shared tail of submit() and try_submit().
+  Admission enqueue(Tensor input, Completion done);
   void worker_loop();
   void run_batch(std::vector<Request>& batch, runtime::ExecutionContext& ctx,
                  const runtime::CompiledPlan& plan) const;

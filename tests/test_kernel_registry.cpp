@@ -1,13 +1,12 @@
 // Kernel registry: specialized-variant parity against the generic kernels
 // across adversarial shapes (fp32 within float tolerance, i8 bit-exact),
-// guaranteed generic fallback for unmatched signatures, one-time
-// PIT_CONV_BACKEND parsing, and CompiledPlan::describe() binding reports.
+// guaranteed generic fallback for unmatched signatures, and
+// CompiledPlan::describe() binding reports.
 #include "nn/kernels/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -17,19 +16,10 @@
 #include "nn/conv1d.hpp"
 #include "runtime/compiled_net.hpp"
 #include "runtime/quantize_plan.hpp"
-#include "tensor/error.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pit::nn::kernels {
 namespace {
-
-/// Pins the auto-resolution mode (specialization enabled) and restores the
-/// engine's global override on scope exit.
-struct AutoBackendGuard {
-  Backend saved = default_backend();
-  AutoBackendGuard() { set_default_backend(Backend::kAuto); }
-  ~AutoBackendGuard() { set_default_backend(saved); }
-};
 
 struct SpecCase {
   index_t k, c_in, c_out, t, dilation;
@@ -85,7 +75,6 @@ void expect_close(const std::vector<float>& want,
 }
 
 TEST(KernelRegistry, PackedF32SpecializedMatchesGeneric) {
-  AutoBackendGuard guard;
   const Registry& reg = Registry::instance();
   const index_t n = 2;
   for (const SpecCase& c : kF32Cases) {
@@ -136,7 +125,6 @@ TEST(KernelRegistry, PackedF32SpecializedMatchesGeneric) {
 }
 
 TEST(KernelRegistry, StepF32SpecializedMatchesGeneric) {
-  AutoBackendGuard guard;
   const Registry& reg = Registry::instance();
   for (const SpecCase& c : kF32Cases) {
     const ConvSig sig{c.k, c.c_in, c.c_out};
@@ -214,7 +202,6 @@ I8Problem make_i8_problem(const SpecCase& c) {
 }
 
 TEST(KernelRegistry, PackedI8SpecializedBitExact) {
-  AutoBackendGuard guard;
   const Registry& reg = Registry::instance();
   const index_t n = 2;
   for (const SpecCase& c : kI8Cases) {
@@ -275,7 +262,6 @@ TEST(KernelRegistry, PackedI8SpecializedBitExact) {
 }
 
 TEST(KernelRegistry, StepI8SpecializedBitExact) {
-  AutoBackendGuard guard;
   const Registry& reg = Registry::instance();
   for (const SpecCase& c : kI8Cases) {
     const auto spec = reg.conv_step_i8({c.k, c.c_in, c.c_out});
@@ -320,7 +306,6 @@ TEST(KernelRegistry, StepI8SpecializedBitExact) {
 }
 
 TEST(KernelRegistry, UnmatchedSignatureBindsGenericNeverFails) {
-  AutoBackendGuard guard;
   const Registry& reg = Registry::instance();
   // k beyond the specialization range.
   const auto big_k = reg.conv_packed_f32({11, 8, 8});
@@ -336,44 +321,6 @@ TEST(KernelRegistry, UnmatchedSignatureBindsGenericNeverFails) {
   EXPECT_FALSE(reg.conv_packed_i8({12, 8, 8}).meta->specialized);
   EXPECT_FALSE(reg.conv_step_i8({12, 8, 8}).meta->specialized);
   ASSERT_TRUE(reg.conv_packed_i8({12, 8, 8}));
-}
-
-TEST(KernelRegistry, ExplicitBackendOverridePinsGeneric) {
-  // An explicit scalar/blocked override says "run the engine I named":
-  // the packed paths bind their generic variants, not the matcher's pick.
-  AutoBackendGuard guard;
-  set_default_backend(Backend::kBlocked);
-  const Registry& reg = Registry::instance();
-  EXPECT_FALSE(reg.conv_packed_f32({3, 4, 8}).meta->specialized);
-  EXPECT_FALSE(reg.conv_packed_i8({3, 4, 8}).meta->specialized);
-  set_default_backend(Backend::kAuto);
-  EXPECT_TRUE(reg.conv_packed_f32({3, 4, 8}).meta->specialized);
-}
-
-TEST(KernelRegistry, EnvIsParsedOnceAtConstruction) {
-  // The registry snapshots PIT_CONV_BACKEND at construction; later
-  // mutations of the environment must not change the filter (and must not
-  // throw at the next dispatch).
-  const Backend before = Registry::instance().env_filter();
-  ASSERT_EQ(0, setenv("PIT_CONV_BACKEND", "blocked", 1));
-  EXPECT_EQ(before, Registry::instance().env_filter());
-  ASSERT_EQ(0, setenv("PIT_CONV_BACKEND", "bogus", 1));
-  EXPECT_EQ(before, Registry::instance().env_filter());
-  unsetenv("PIT_CONV_BACKEND");
-}
-
-TEST(KernelRegistry, UnknownBackendNameNamesAcceptedBackends) {
-  try {
-    parse_backend_name("block");
-    FAIL() << "parse_backend_name accepted an unknown value";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown conv backend \"block\""), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("\"auto\", \"scalar\" or \"blocked\""),
-              std::string::npos)
-        << msg;
-  }
 }
 
 }  // namespace
@@ -407,7 +354,6 @@ CompiledPlan small_plan(RandomEngine& rng) {
 }
 
 TEST(CompiledPlanDescribe, EveryOpReportsABinding) {
-  nn::kernels::AutoBackendGuard guard;
   RandomEngine rng(331);
   const CompiledPlan plan = small_plan(rng);
   const std::string desc = plan.describe();
@@ -430,7 +376,6 @@ TEST(CompiledPlanDescribe, EveryOpReportsABinding) {
 }
 
 TEST(CompiledPlanDescribe, StridedAndLinearOpsReportBindings) {
-  nn::kernels::AutoBackendGuard guard;
   RandomEngine rng(337);
   nn::Conv1d c1(3, 6, 3, {.dilation = 1, .stride = 2, .bias = true}, rng);
   Tensor w = Tensor::randn(Shape{2, 6 * 16}, rng);
@@ -446,7 +391,6 @@ TEST(CompiledPlanDescribe, StridedAndLinearOpsReportBindings) {
 }
 
 TEST(CompiledPlanDescribe, QuantizedPlanReportsI8Bindings) {
-  nn::kernels::AutoBackendGuard guard;
   RandomEngine rng(347);
   const auto plan =
       std::make_shared<const CompiledPlan>(small_plan(rng));

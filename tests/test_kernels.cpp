@@ -1,6 +1,6 @@
-// Kernel engine: blocked backend parity against the scalar reference
-// across adversarial shapes, dispatch heuristics, and gradchecks through
-// the dispatched path.
+// Kernel engine: blocked-engine parity against the scalar reference
+// across adversarial shapes, the registry's scalar-vs-blocked heuristic,
+// and gradchecks through the autograd path on shapes it sends to blocked.
 #include "nn/kernels/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -11,18 +11,12 @@
 
 #include "core/pit_conv1d.hpp"
 #include "nn/conv1d.hpp"
-#include "tensor/error.hpp"
+#include "nn/kernels/registry.hpp"
 #include "tensor/gradcheck.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pit::nn::kernels {
 namespace {
-
-/// Restores the engine's global override on scope exit.
-struct BackendGuard {
-  Backend saved = default_backend();
-  ~BackendGuard() { set_default_backend(saved); }
-};
 
 struct KernelCase {
   index_t n, c_in, c_out, k, t_in, dilation, stride;
@@ -48,6 +42,13 @@ ConvDims make_dims(const KernelCase& c) {
   d.stride = c.stride;
   d.t_out = causal_conv1d_output_steps(c.t_in, c.stride);
   return d;
+}
+
+/// True when the registry sends a problem of these dims to the blocked
+/// engine (the training binding autograd looks up per call).
+bool binds_blocked(const ConvDims& d) {
+  const Registry& reg = Registry::instance();
+  return &reg.conv_train_f32(d) == &reg.conv_train_f32_blocked();
 }
 
 std::vector<float> random_buffer(index_t numel, RandomEngine& rng) {
@@ -104,13 +105,15 @@ TEST_P(BlockedMatchesScalar, ForwardAndBothBackwards) {
   const std::vector<float> ba = abs_of(bias);
   const std::vector<float> dya = abs_of(dy);
   const float* bpa = c.with_bias ? ba.data() : nullptr;
+  const ConvTrainF32& blocked =
+      Registry::instance().conv_train_f32_blocked();
 
   std::vector<float> y_ref(static_cast<std::size_t>(d.n * d.c_out * d.t_out),
                            0.0F);
   std::vector<float> y_blk(y_ref.size(), 0.0F);
   std::vector<float> y_mag(y_ref.size(), 0.0F);
   scalar::conv_forward(x.data(), w.data(), bp, y_ref.data(), d);
-  blocked::conv_forward(x.data(), w.data(), bp, y_blk.data(), d);
+  blocked.forward(x.data(), w.data(), bp, y_blk.data(), d);
   scalar::conv_forward(xa.data(), wa.data(), bpa, y_mag.data(), d);
   expect_close(y_ref, y_blk, y_mag, "forward");
 
@@ -118,7 +121,7 @@ TEST_P(BlockedMatchesScalar, ForwardAndBothBackwards) {
   std::vector<float> dx_blk(x.size(), 0.0F);
   std::vector<float> dx_mag(x.size(), 0.0F);
   scalar::conv_backward_input(dy.data(), w.data(), dx_ref.data(), d);
-  blocked::conv_backward_input(dy.data(), w.data(), dx_blk.data(), d);
+  blocked.backward_input(dy.data(), w.data(), dx_blk.data(), d);
   scalar::conv_backward_input(dya.data(), wa.data(), dx_mag.data(), d);
   expect_close(dx_ref, dx_blk, dx_mag, "backward_input");
 
@@ -126,7 +129,7 @@ TEST_P(BlockedMatchesScalar, ForwardAndBothBackwards) {
   std::vector<float> dw_blk(w.size(), 0.0F);
   std::vector<float> dw_mag(w.size(), 0.0F);
   scalar::conv_backward_weight(dy.data(), x.data(), dw_ref.data(), d);
-  blocked::conv_backward_weight(dy.data(), x.data(), dw_blk.data(), d);
+  blocked.backward_weight(dy.data(), x.data(), dw_blk.data(), d);
   scalar::conv_backward_weight(dya.data(), xa.data(), dw_mag.data(), d);
   expect_close(dw_ref, dw_blk, dw_mag, "backward_weight");
 }
@@ -164,67 +167,73 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(KernelDispatch, HeuristicPicksScalarForTinyProblems) {
-  BackendGuard guard;
-  set_default_backend(Backend::kAuto);
+  const Registry& reg = Registry::instance();
   KernelCase tiny{1, 1, 1, 3, 8, 1, 1, false, 0};
-  EXPECT_EQ(resolve_backend(Backend::kAuto, make_dims(tiny)),
-            Backend::kScalar);
+  const ConvTrainF32& t = reg.conv_train_f32(make_dims(tiny));
+  EXPECT_FALSE(binds_blocked(make_dims(tiny)));
+  EXPECT_EQ(t.forward, &scalar::conv_forward);
+  EXPECT_EQ(t.backward_input, &scalar::conv_backward_input);
+  EXPECT_EQ(t.backward_weight, &scalar::conv_backward_weight);
+  EXPECT_STREQ(t.meta.isa, "scalar");
+  // One MAC short of the threshold still stays scalar.
+  KernelCase edge{1, 1, 1, 1, kBlockedMinMacs - 1, 1, 1, false, 0};
+  EXPECT_FALSE(binds_blocked(make_dims(edge)));
 }
 
 TEST(KernelDispatch, HeuristicPicksBlockedForBatchedProblems) {
-  BackendGuard guard;
-  set_default_backend(Backend::kAuto);
   KernelCase big{16, 32, 32, 9, 256, 1, 1, false, 0};
-  EXPECT_EQ(resolve_backend(Backend::kAuto, make_dims(big)),
-            Backend::kBlocked);
+  EXPECT_TRUE(binds_blocked(make_dims(big)));
+  KernelCase edge{1, 1, 1, 1, kBlockedMinMacs, 1, 1, false, 0};
+  EXPECT_EQ(conv_macs(make_dims(edge)), kBlockedMinMacs);
+  EXPECT_TRUE(binds_blocked(make_dims(edge)));
 }
 
-TEST(KernelDispatch, ExplicitRequestAndGlobalOverrideWin) {
-  BackendGuard guard;
-  KernelCase tiny{1, 1, 1, 3, 8, 1, 1, false, 0};
-  const ConvDims d = make_dims(tiny);
-  EXPECT_EQ(resolve_backend(Backend::kBlocked, d), Backend::kBlocked);
-  EXPECT_EQ(resolve_backend(Backend::kScalar, d), Backend::kScalar);
-  set_default_backend(Backend::kBlocked);
-  EXPECT_EQ(resolve_backend(Backend::kAuto, d), Backend::kBlocked);
-  set_default_backend(Backend::kAuto);
-  EXPECT_EQ(resolve_backend(Backend::kAuto, d), Backend::kScalar);
-}
-
-TEST(KernelDispatch, BackendNamesAreStable) {
-  EXPECT_STREQ(backend_name(Backend::kAuto), "auto");
-  EXPECT_STREQ(backend_name(Backend::kScalar), "scalar");
-  EXPECT_STREQ(backend_name(Backend::kBlocked), "blocked");
+TEST(KernelDispatch, AutogradBlockedBindingSharesTheRuntimeIsa) {
+  // The autograd path and a plan's strided conv get their blocked kernels
+  // from the same registration as the packed inference kernels, so the
+  // training kernels cannot run a different ISA level than the runtime.
+  const Registry& reg = Registry::instance();
+  const ConvTrainF32& blocked = reg.conv_train_f32_blocked();
+  EXPECT_STREQ(blocked.meta.isa, reg.fp32_isa());
+  EXPECT_STREQ(blocked.meta.op, "conv.train.f32");
+  EXPECT_NE(blocked.forward, &scalar::conv_forward);
+  EXPECT_NE(blocked.backward_input, &scalar::conv_backward_input);
+  EXPECT_NE(blocked.backward_weight, &scalar::conv_backward_weight);
 }
 
 TEST(KernelDispatch, DispatchedConvMatchesForcedScalarThroughAutograd) {
-  // End-to-end through causal_conv1d: a shape big enough that kAuto picks
-  // the blocked engine must match the scalar-forced result exactly at the
-  // op level (same accumulation order per output element).
-  BackendGuard guard;
+  // End-to-end through causal_conv1d: a shape big enough that the
+  // heuristic picks the blocked engine must match the scalar reference at
+  // the op level (same accumulation order per output element).
   RandomEngine rng(5);
   Tensor x = Tensor::randn(Shape{16, 8, 64}, rng);
   Tensor w = Tensor::randn(Shape{12, 8, 9}, rng);
   Tensor b = Tensor::randn(Shape{12}, rng);
+  const ConvDims d = make_dims(KernelCase{16, 8, 12, 9, 64, 2, 1, true, 0});
+  ASSERT_TRUE(binds_blocked(d));
 
-  set_default_backend(Backend::kScalar);
-  Tensor y_ref = causal_conv1d(x, w, b, 2, 1);
-  set_default_backend(Backend::kBlocked);
+  std::vector<float> y_ref(static_cast<std::size_t>(d.n * d.c_out * d.t_out),
+                           0.0F);
+  scalar::conv_forward(x.data(), w.data(), b.data(), y_ref.data(), d);
   Tensor y_blk = causal_conv1d(x, w, b, 2, 1);
-  ASSERT_EQ(y_ref.shape(), y_blk.shape());
-  for (index_t i = 0; i < y_ref.numel(); ++i) {
-    EXPECT_NEAR(y_ref.data()[i], y_blk.data()[i],
-                1e-5F * std::max(1.0F, std::abs(y_ref.data()[i])));
+  ASSERT_EQ(y_blk.numel(), static_cast<index_t>(y_ref.size()));
+  for (index_t i = 0; i < y_blk.numel(); ++i) {
+    const float want = y_ref[static_cast<std::size_t>(i)];
+    EXPECT_NEAR(want, y_blk.data()[i],
+                1e-5F * std::max(1.0F, std::abs(want)));
   }
 }
 
+// The gradchecks run shapes at or above kBlockedMinMacs, so the autograd
+// path takes the blocked engine for forward and both backwards.
+
 TEST(KernelGradcheck, BlockedConvForwardBackward) {
-  BackendGuard guard;
-  set_default_backend(Backend::kBlocked);
+  ASSERT_TRUE(binds_blocked(make_dims(
+      KernelCase{2, 2, 8, 11, 48, 2, 1, true, 0})));
   RandomEngine rng(11);
-  Tensor x = Tensor::randn(Shape{2, 3, 12}, rng);
-  Tensor w = Tensor::randn(Shape{5, 3, 4}, rng);
-  Tensor b = Tensor::randn(Shape{5}, rng);
+  Tensor x = Tensor::randn(Shape{2, 2, 48}, rng);
+  Tensor w = Tensor::randn(Shape{8, 2, 11}, rng);
+  Tensor b = Tensor::randn(Shape{8}, rng);
   x.set_requires_grad(true);
   w.set_requires_grad(true);
   b.set_requires_grad(true);
@@ -237,11 +246,11 @@ TEST(KernelGradcheck, BlockedConvForwardBackward) {
 }
 
 TEST(KernelGradcheck, BlockedStridedConv) {
-  BackendGuard guard;
-  set_default_backend(Backend::kBlocked);
+  ASSERT_TRUE(binds_blocked(make_dims(
+      KernelCase{2, 2, 8, 11, 96, 1, 2, false, 0})));
   RandomEngine rng(13);
-  Tensor x = Tensor::randn(Shape{2, 2, 15}, rng);
-  Tensor w = Tensor::randn(Shape{3, 2, 3}, rng);
+  Tensor x = Tensor::randn(Shape{2, 2, 96}, rng);
+  Tensor w = Tensor::randn(Shape{8, 2, 11}, rng);
   x.set_requires_grad(true);
   w.set_requires_grad(true);
   const auto result = gradcheck(
@@ -255,12 +264,12 @@ TEST(KernelGradcheck, BlockedStridedConv) {
 TEST(KernelGradcheck, BlockedMaskedPitConv) {
   // The PIT masked convolution (W ⊙ M with the mask chain rule) through
   // the blocked engine.
-  BackendGuard guard;
-  set_default_backend(Backend::kBlocked);
+  ASSERT_TRUE(binds_blocked(make_dims(
+      KernelCase{2, 2, 8, 11, 48, 1, 1, false, 0})));
   RandomEngine rng(17);
-  Tensor x = Tensor::randn(Shape{2, 3, 10}, rng);
-  Tensor w = Tensor::randn(Shape{4, 3, 5}, rng);
-  Tensor m = Tensor::uniform(Shape{5}, 0.25F, 1.0F, rng);
+  Tensor x = Tensor::randn(Shape{2, 2, 48}, rng);
+  Tensor w = Tensor::randn(Shape{8, 2, 11}, rng);
+  Tensor m = Tensor::uniform(Shape{11}, 0.25F, 1.0F, rng);
   x.set_requires_grad(true);
   w.set_requires_grad(true);
   m.set_requires_grad(true);
@@ -310,6 +319,8 @@ TEST(PackedForward, MatchesScalarReferenceDenseAndPadded) {
 
     std::vector<float> wp(static_cast<std::size_t>(packed_weight_floats(d)));
     pack_conv_weight(w.data(), d, wp.data());
+    const ConvPackedF32Fn conv_forward_packed =
+        Registry::instance().conv_packed_f32_generic().fn;
 
     // Dense rows: edge tiles take the clamped path.
     std::vector<float> y_dense(expected.size(), -1.0F);
@@ -347,6 +358,7 @@ TEST(LinearForward, MatchesNaiveDotProducts) {
   Tensor w = Tensor::randn(Shape{o, f}, rng);
   Tensor b = Tensor::randn(Shape{o}, rng);
   std::vector<float> y(static_cast<std::size_t>(n * o), -1.0F);
+  const LinearF32Fn linear_forward = Registry::instance().linear_f32().fn;
   linear_forward(x.data(), w.data(), b.data(), y.data(), n, f, o,
                  /*relu=*/true);
   for (index_t i = 0; i < n; ++i) {
@@ -359,20 +371,6 @@ TEST(LinearForward, MatchesNaiveDotProducts) {
       EXPECT_NEAR(acc, y[static_cast<std::size_t>(i * o + j)], 1e-4F);
     }
   }
-}
-
-TEST(Dispatch, ParseBackendNameAcceptsDocumentedValues) {
-  EXPECT_EQ(parse_backend_name("auto"), Backend::kAuto);
-  EXPECT_EQ(parse_backend_name("scalar"), Backend::kScalar);
-  EXPECT_EQ(parse_backend_name("blocked"), Backend::kBlocked);
-}
-
-TEST(Dispatch, ParseBackendNameThrowsOnTypo) {
-  // A PIT_CONV_BACKEND typo must fail loudly, not silently fall through
-  // to the size heuristic the user thought they had overridden.
-  EXPECT_THROW(parse_backend_name("block"), Error);
-  EXPECT_THROW(parse_backend_name("BLOCKED"), Error);
-  EXPECT_THROW(parse_backend_name(""), Error);
 }
 
 }  // namespace
