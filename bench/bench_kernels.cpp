@@ -209,6 +209,8 @@ void run_backend_compare(const char* json_path) {
       {"n16_c32_k9_t256_d1_s1", {16, 32, 32, 9, 256, 256, 1, 1}},
       {"n16_c64_k5_t128_d2_s1", {16, 64, 64, 5, 128, 128, 2, 1}},
       {"n32_c32_k17_t64_d1_s1", {32, 32, 32, 17, 64, 64, 1, 1}},
+      // The search's heaviest conv: half-width TempoNet's last block.
+      {"n16_c64_k17_t32_d1_s1", {16, 64, 64, 17, 32, 32, 1, 1}},
       {"n16_c32_k9_t256_d1_s2", {16, 32, 32, 9, 256, 128, 1, 2}},
   };
   std::vector<CompareRow> rows;

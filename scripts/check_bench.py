@@ -12,7 +12,8 @@ Usage::
 
 Bars and their hardware conditions (see docs/BENCHMARKS.md "CI gates"):
 
-  BENCH_kernels.json  best forward-row speedup >= 2.0       (always)
+  BENCH_kernels.json  best stride-1 forward, backward_input
+                      and backward_weight speedups >= 2.0   (always)
                       best specialized-variant speedup
                       >= 1.03                                (fp32 SIMD, not
                                                              the base ISA)
@@ -116,14 +117,18 @@ def check_kernels(gate, name, data):
         "shape": str, "kernel": str, "macs": int,
         "scalar_ms": float, "blocked_ms": float, "speedup": float,
     })
-    forward = [r["speedup"] for r in rows
-               if isinstance(r, dict) and r.get("kernel") == "forward"
-               and isinstance(r.get("speedup"), (int, float))]
-    if not forward:
-        gate.fail(f"{name}: no forward rows")
-        return
-    bar(gate, name, "best blocked-over-scalar forward speedup",
-        max(forward), 2.0)
+    # Every training kernel must keep its blocked win on the stride-1 rows
+    # (the search hot path; shape names end in "_s<stride>").
+    for kernel in ("forward", "backward_input", "backward_weight"):
+        speedups = [r["speedup"] for r in rows
+                    if isinstance(r, dict) and r.get("kernel") == kernel
+                    and str(r.get("shape", "")).endswith("_s1")
+                    and isinstance(r.get("speedup"), (int, float))]
+        if not speedups:
+            gate.fail(f"{name}: no stride-1 {kernel} rows")
+            return
+        bar(gate, name, f"best stride-1 blocked-over-scalar {kernel} speedup",
+            max(speedups), 2.0)
     spec_rows = require_rows(gate, name, data, "specialized", {
         "shape": str, "dtype": str, "k": int, "c_in": int, "c_out": int,
         "t": int, "generic_ms": float, "specialized_ms": float,

@@ -4,17 +4,22 @@
 // Two engines implement the training-kernel contract:
 //   - scalar:  the original single-threaded triple-loop, kept as the
 //              bit-exact reference every other engine is tested against.
-//   - blocked: output-channel x time register tiling with a contiguous
-//              stride-1 fast path, parallelised with OpenMP over the
-//              batch x c_out grid (forward / backward-input over the
-//              batch x c_in grid; backward-weight over c_out blocks so
-//              every thread owns its output slice and no reduction race
-//              exists).
+//   - blocked: register-tiled stride-1 kernels over zero-padded per-call
+//              copies of their inputs, parallelised with OpenMP so each
+//              cell owns a disjoint output slice (bit-identical results
+//              at any thread count): forward over batch x 4-c_out blocks
+//              and backward-input over batch x 4-c_in blocks, each cell a
+//              4 x 32 tile in registers; backward-weight over 4-c_out
+//              blocks x c_in x 4-tap blocks, each cell 16 vector
+//              accumulators held across the whole (n, t) reduction.
+//              Strided convs keep L1 accumulator blocks.
 //
 // All training kernels *accumulate* into their outputs, so callers
-// zero-fill. Taps whose weights are exactly zero (PIT masks broadcast a
-// zero over every channel pair of a pruned tap) are skipped by both
-// engines, so pruning pays off during the search too.
+// zero-fill. Forward and backward-input skip taps whose weights are
+// exactly zero (PIT masks broadcast a zero over every channel pair of a
+// pruned tap) in both engines, so pruning pays off during the search
+// too; backward-weight computes every tap, because a pruned tap's
+// gradient is what lets its gamma come back.
 //
 // Every kernel is chosen in one place, the registry (registry.hpp): it
 // resolves the ISA level once and binds each op's kernel by signature.

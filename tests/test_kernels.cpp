@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -134,37 +139,181 @@ TEST_P(BlockedMatchesScalar, ForwardAndBothBackwards) {
   expect_close(dw_ref, dw_blk, dw_mag, "backward_weight");
 }
 
+TEST_P(BlockedMatchesScalar, AccumulatesIntoPrefilledOutputs) {
+  // The training kernels add into their outputs: autograd sums a conv's
+  // gradient into an existing grad buffer. Pre-filled outputs must end
+  // at prefill + scalar, within the zero-start tolerance.
+  const KernelCase c = GetParam();
+  const ConvDims d = make_dims(c);
+  RandomEngine rng(78);
+  std::vector<float> x = random_buffer(d.n * d.c_in * d.t_in, rng);
+  std::vector<float> w = random_buffer(d.c_out * d.c_in * d.k, rng);
+  std::vector<float> bias = random_buffer(d.c_out, rng);
+  std::vector<float> dy = random_buffer(d.n * d.c_out * d.t_out, rng);
+  for (int i = 0; i < c.masked_taps && i < c.k; ++i) {
+    for (index_t p = 0; p < d.c_out * d.c_in; ++p) {
+      w[static_cast<std::size_t>(p * d.k + i)] = 0.0F;
+    }
+  }
+  const float* bp = c.with_bias ? bias.data() : nullptr;
+  const std::vector<float> xa = abs_of(x);
+  const std::vector<float> wa = abs_of(w);
+  const std::vector<float> ba = abs_of(bias);
+  const std::vector<float> dya = abs_of(dy);
+  const float* bpa = c.with_bias ? ba.data() : nullptr;
+  const ConvTrainF32& blocked =
+      Registry::instance().conv_train_f32_blocked();
+
+  // `scalar_run`/`blocked_run` add one kernel's result into their buffer;
+  // `mag_run` accumulates the same kernel on absolute inputs.
+  const auto check = [&](index_t numel, const auto& scalar_run,
+                         const auto& blocked_run, const auto& mag_run,
+                         const char* what) {
+    const std::vector<float> prefill = random_buffer(numel, rng);
+    std::vector<float> want(prefill.size(), 0.0F);
+    std::vector<float> mag(prefill.size(), 0.0F);
+    scalar_run(want.data());
+    mag_run(mag.data());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] += prefill[i];
+      mag[i] += std::abs(prefill[i]);
+    }
+    std::vector<float> got = prefill;
+    blocked_run(got.data());
+    expect_close(want, got, mag, what);
+  };
+  check(
+      d.n * d.c_out * d.t_out,
+      [&](float* y) { scalar::conv_forward(x.data(), w.data(), bp, y, d); },
+      [&](float* y) { blocked.forward(x.data(), w.data(), bp, y, d); },
+      [&](float* y) {
+        scalar::conv_forward(xa.data(), wa.data(), bpa, y, d);
+      },
+      "forward");
+  check(
+      d.n * d.c_in * d.t_in,
+      [&](float* dx) {
+        scalar::conv_backward_input(dy.data(), w.data(), dx, d);
+      },
+      [&](float* dx) { blocked.backward_input(dy.data(), w.data(), dx, d); },
+      [&](float* dx) {
+        scalar::conv_backward_input(dya.data(), wa.data(), dx, d);
+      },
+      "backward_input");
+  check(
+      d.c_out * d.c_in * d.k,
+      [&](float* dw) {
+        scalar::conv_backward_weight(dy.data(), x.data(), dw, d);
+      },
+      [&](float* dw) {
+        blocked.backward_weight(dy.data(), x.data(), dw, d);
+      },
+      [&](float* dw) {
+        scalar::conv_backward_weight(dya.data(), xa.data(), dw, d);
+      },
+      "backward_weight");
+}
+
+/// The PIT search's seed layout (half-width TempoNet at d = 1, batch 16):
+/// the first layer's 4 input channels and one conv per block, with rf taps
+/// 5 / 9 / 17 at T = 128 / 64 / 32, plus a row whose causal lead is
+/// longer than half of it.
+const KernelCase kSearchShapes[] = {
+    KernelCase{16, 4, 16, 5, 128, 1, 1, true, 0},
+    KernelCase{16, 32, 32, 9, 64, 1, 1, true, 0},
+    KernelCase{16, 64, 64, 17, 32, 1, 1, true, 0},
+    KernelCase{4, 5, 6, 17, 24, 1, 1, true, 0},
+};
+
+std::vector<KernelCase> adversarial_shapes() {
+  std::vector<KernelCase> cases = {
+      // basic small shape, channels not a multiple of the 4-wide tile
+      KernelCase{2, 3, 5, 3, 11, 1, 1, true, 0},
+      // single everything
+      KernelCase{1, 1, 1, 1, 1, 1, 1, false, 0},
+      // t_out == 1 with a wide kernel reaching fully into the padding
+      KernelCase{2, 2, 3, 7, 1, 2, 1, true, 0},
+      // k == 1 pointwise
+      KernelCase{3, 4, 4, 1, 19, 1, 1, false, 0},
+      // stride > 1 (strided scatter path in backward_input)
+      KernelCase{2, 3, 6, 5, 33, 1, 2, true, 0},
+      KernelCase{1, 5, 3, 4, 26, 1, 3, false, 0},
+      // dilation > 1, receptive field larger than t_in
+      KernelCase{2, 4, 4, 9, 31, 4, 1, true, 0},
+      KernelCase{1, 2, 7, 5, 16, 8, 1, false, 0},
+      // dilation and stride combined
+      KernelCase{2, 3, 5, 5, 40, 3, 2, true, 0},
+      // zero-masked taps (pruned search state)
+      KernelCase{2, 4, 4, 9, 31, 2, 1, true, 4},
+      KernelCase{2, 3, 8, 17, 64, 1, 1, false, 12},
+      // time extent crossing the 32-wide tile boundary unevenly
+      KernelCase{2, 3, 5, 5, 67, 2, 1, true, 0},
+      // big-ish batched shape (exercises the OpenMP grid)
+      KernelCase{16, 8, 12, 9, 128, 2, 1, true, 0}};
+  cases.insert(cases.end(), std::begin(kSearchShapes),
+               std::end(kSearchShapes));
+  return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AdversarialShapes, BlockedMatchesScalar,
-    ::testing::Values(
-        // basic small shape, channels not a multiple of the 4-wide tile
-        KernelCase{2, 3, 5, 3, 11, 1, 1, true, 0},
-        // single everything
-        KernelCase{1, 1, 1, 1, 1, 1, 1, false, 0},
-        // t_out == 1 with a wide kernel reaching fully into the padding
-        KernelCase{2, 2, 3, 7, 1, 2, 1, true, 0},
-        // k == 1 pointwise
-        KernelCase{3, 4, 4, 1, 19, 1, 1, false, 0},
-        // stride > 1 (strided scatter path in backward_input)
-        KernelCase{2, 3, 6, 5, 33, 1, 2, true, 0},
-        KernelCase{1, 5, 3, 4, 26, 1, 3, false, 0},
-        // dilation > 1, receptive field larger than t_in
-        KernelCase{2, 4, 4, 9, 31, 4, 1, true, 0},
-        KernelCase{1, 2, 7, 5, 16, 8, 1, false, 0},
-        // dilation and stride combined
-        KernelCase{2, 3, 5, 5, 40, 3, 2, true, 0},
-        // zero-masked taps (pruned search state)
-        KernelCase{2, 4, 4, 9, 31, 2, 1, true, 4},
-        KernelCase{2, 3, 8, 17, 64, 1, 1, false, 12},
-        // time extent crossing the 32-wide tile boundary unevenly
-        KernelCase{2, 3, 5, 5, 67, 2, 1, true, 0},
-        // big-ish batched shape (exercises the OpenMP grid)
-        KernelCase{16, 8, 12, 9, 128, 2, 1, true, 0}),
+    ::testing::ValuesIn(adversarial_shapes()),
     [](const ::testing::TestParamInfo<KernelCase>& info) {
       std::ostringstream os;
       os << info.param;
       return os.str();
     });
+
+TEST(BlockedTrainingKernels, BitIdenticalAtOneTwoAndFourThreads) {
+  // Every cell of the blocked kernels' OpenMP grid owns a disjoint output
+  // slice and reduces in a fixed order, so the thread count must not move
+  // a single bit (the search's parallel == sequential check relies on it).
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  const ConvTrainF32& blocked =
+      Registry::instance().conv_train_f32_blocked();
+  const int saved = omp_get_max_threads();
+  for (const KernelCase& c : kSearchShapes) {
+    const ConvDims d = make_dims(c);
+    RandomEngine rng(79);
+    const std::vector<float> x = random_buffer(d.n * d.c_in * d.t_in, rng);
+    const std::vector<float> w = random_buffer(d.c_out * d.c_in * d.k, rng);
+    const std::vector<float> bias = random_buffer(d.c_out, rng);
+    const std::vector<float> dy =
+        random_buffer(d.n * d.c_out * d.t_out, rng);
+    struct Outputs {
+      std::vector<float> y, dx, dw;
+    };
+    const auto run = [&](int threads) {
+      omp_set_num_threads(threads);
+      Outputs o{std::vector<float>(dy.size(), 0.0F),
+                std::vector<float>(x.size(), 0.0F),
+                std::vector<float>(w.size(), 0.0F)};
+      blocked.forward(x.data(), w.data(), bias.data(), o.y.data(), d);
+      blocked.backward_input(dy.data(), w.data(), o.dx.data(), d);
+      blocked.backward_weight(dy.data(), x.data(), o.dw.data(), d);
+      return o;
+    };
+    const auto same_bits = [](const std::vector<float>& a,
+                              const std::vector<float>& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+    };
+    const Outputs one = run(1);
+    for (const int threads : {2, 4}) {
+      const Outputs many = run(threads);
+      EXPECT_TRUE(same_bits(one.y, many.y))
+          << "forward, " << threads << " threads, " << c;
+      EXPECT_TRUE(same_bits(one.dx, many.dx))
+          << "backward_input, " << threads << " threads, " << c;
+      EXPECT_TRUE(same_bits(one.dw, many.dw))
+          << "backward_weight, " << threads << " threads, " << c;
+    }
+  }
+  omp_set_num_threads(saved);
+#endif
+}
 
 TEST(KernelDispatch, HeuristicPicksScalarForTinyProblems) {
   const Registry& reg = Registry::instance();
