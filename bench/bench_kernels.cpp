@@ -387,6 +387,27 @@ void run_backend_compare(const char* json_path) {
     }
   }
 
+  // The gated aggregates: each training kernel's best stride-1 speedup
+  // (the search hot path; shape names end in "_s<stride>"), and the best
+  // specialization win over rows that did not fall back to the generic
+  // kernel. 0 when no row qualifies.
+  auto best_s1 = [&](const std::string& kernel) {
+    double best = 0.0;
+    for (const CompareRow& r : rows) {
+      if (r.kernel == kernel && r.shape.ends_with("_s1")) {
+        best = std::max(best, r.scalar_ms / r.blocked_ms);
+      }
+    }
+    return best;
+  };
+  double best_specialized = 0.0;
+  for (const SpecRow& r : spec_rows) {
+    if (!r.kernel.ends_with("/generic")) {
+      best_specialized =
+          std::max(best_specialized, r.generic_ms / r.specialized_ms);
+    }
+  }
+
   int threads = 1;
 #ifdef _OPENMP
   threads = omp_get_max_threads();
@@ -395,7 +416,12 @@ void run_backend_compare(const char* json_path) {
   out << "{\n  \"bench\": \"kernels_backend_compare\",\n"
       << "  \"threads\": " << threads << ",\n"
       << "  \"fp32_isa\": \"" << reg.fp32_isa() << "\",\n"
-      << "  \"i8_isa\": \"" << reg.i8_isa() << "\",\n  \"results\": [\n";
+      << "  \"i8_isa\": \"" << reg.i8_isa() << "\",\n"
+      << "  \"best_s1_speedup\": {\"forward\": " << best_s1("forward")
+      << ", \"backward_input\": " << best_s1("backward_input")
+      << ", \"backward_weight\": " << best_s1("backward_weight") << "},\n"
+      << "  \"best_specialized_speedup\": " << best_specialized << ",\n"
+      << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CompareRow& r = rows[i];
     out << "    {\"shape\": \"" << r.shape << "\", \"kernel\": \"" << r.kernel

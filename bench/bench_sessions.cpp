@@ -241,6 +241,17 @@ int main(int argc, char** argv) {
               "hardware threads; %d here)\n",
               speedup, hw_threads);
 
+  // The gated aggregates: the largest fleet measured, and the evictions
+  // summed over every row at >= 100k resident sessions.
+  std::size_t max_resident = 0;
+  unsigned long long evictions_at_100k = 0;
+  for (const ResidentRow& r : resident_rows) {
+    max_resident = std::max(max_resident, r.resident);
+    if (r.resident >= 100000) {
+      evictions_at_100k += r.evictions;
+    }
+  }
+
   FILE* json = bench::open_bench_json("BENCH_sessions.json");
   if (json == nullptr) {
     return 1;
@@ -252,6 +263,8 @@ int main(int argc, char** argv) {
                single_ops);
   std::fprintf(json, "  \"sharded_steps_per_sec\": %.1f,\n", sharded_ops);
   std::fprintf(json, "  \"sharded_over_single_speedup\": %.3f,\n", speedup);
+  std::fprintf(json, "  \"max_resident\": %zu,\n", max_resident);
+  std::fprintf(json, "  \"evictions_at_100k\": %llu,\n", evictions_at_100k);
   std::fprintf(json, "  \"resident\": [\n");
   for (std::size_t i = 0; i < resident_rows.size(); ++i) {
     const ResidentRow& r = resident_rows[i];

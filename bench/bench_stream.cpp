@@ -273,6 +273,15 @@ int main(int argc, char** argv) {
                dtype_speedup);
   std::fprintf(json, "  \"tick_over_unbatched_speedup\": %.3f,\n",
                tick_speedup);
+  // Rows per mode, so the gate can require every mode to have run.
+  auto mode_rows = [&](const char* mode) {
+    return std::count_if(rows.begin(), rows.end(),
+                         [&](const Row& r) { return r.mode == mode; });
+  };
+  std::fprintf(json,
+               "  \"mode_rows\": {\"single\": %td, \"unbatched\": %td, "
+               "\"tick\": %td},\n",
+               mode_rows("single"), mode_rows("unbatched"), mode_rows("tick"));
   std::fprintf(json, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

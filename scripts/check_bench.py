@@ -1,431 +1,241 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate.
-
-Loads every ``BENCH_*.json`` found in the given directories (or files),
-validates each against its schema (documented in docs/BENCHMARKS.md), and
-fails the run when a tracked speedup bar is missed — so the 2-3x wins the
-engine benches record cannot silently rot.
-
-Usage::
+"""Benchmark regression gate; docs/BENCHMARKS.md is its only spec.
 
     check_bench.py [dir_or_file ...]      # default: current directory
 
-Bars and their hardware conditions (see docs/BENCHMARKS.md "CI gates"):
-
-  BENCH_kernels.json  best stride-1 forward, backward_input
-                      and backward_weight speedups >= 2.0   (always)
-                      best specialized-variant speedup
-                      >= 1.03                                (fp32 SIMD, not
-                                                             the base ISA)
-  BENCH_runtime.json  worst_batched_temponet_speedup >= 2.0 (always)
-  BENCH_serve.json    batched_over_single_speedup >= 2.0    (>= 4 hw threads)
-  BENCH_quant.json    worst_batched_temponet_int8_speedup
-                      >= 1.5                                 (vnni kernels)
-                      gap8_macs_all_match == true            (always)
-  BENCH_stream.json   int8_over_fp32_stream_speedup >= 1.5   (vnni kernels)
-                      tick_over_unbatched_speedup >= 2.0     (>= 4 hw threads)
-  BENCH_registry.json stream_fleet.dedup_ratio >= 1.5        (always)
-                      memoized_recompile_speedup >= 10.0     (always)
-  BENCH_sessions.json sharded_over_single_speedup >= 2.0     (>= 4 hw threads)
-                      evictions == 0 at >= 100k resident     (always)
-                      BENCH_sessions also requires a resident
-                      row at >= 100k sessions
-  BENCH_frontend.json overload goodput_over_capacity >= 0.70 (>= 4 hw threads)
-                      shed_probe shed_p99_ms <= 250.0        (probe shed > 0)
-                      overload/stream/shed_probe errors == 0 (always)
-                      stream steps > 0                       (always)
-
-A bar whose hardware condition is not met is SKIPPED (reported, not
-failed): the portable int8 fallback has no 4x MAC-density edge and a
-single-core runner has no parallel win to measure. An unknown
-``BENCH_*.json`` is an error — teach this script (and BENCHMARKS.md) its
-schema before shipping a new bench writer.
+Each ``## `BENCH_x.json` `` section's ``| Field | Type | Meaning |``
+tables are that file's schema (a ``?`` type suffix marks an optional
+field; ``int`` and ``float`` reject JSON booleans), and the "CI gates"
+table (``| File | Bar | Enforced when |``) lists the bars. This script
+holds no file name, field name or bound of its own. Every bar prints
+PASS, SKIP (condition unmet, value shown) or FAIL. An unknown file, no
+file at all, or a malformed doc row fails the run. A built-in self-test
+runs first on every call: a gate that cannot fail is no gate.
 """
 import json
+import operator
 import pathlib
+import re
 import sys
 
-MIN_PARALLEL_THREADS = 4  # parallel bars need a multi-core host
+SPEC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "BENCHMARKS.md"
+TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+         "object": dict, "list": list}
+OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
+       "<": operator.lt, "==": operator.eq, "!=": operator.ne}
+MISSING = object()
 
 
-class Gate:
-    """Collects per-file schema errors, bar failures, and skips."""
-
-    def __init__(self):
-        self.errors = []
-        self.passed = []
-        self.skipped = []
-
-    def fail(self, msg):
-        self.errors.append(msg)
-
-    def ok(self, msg):
-        self.passed.append(msg)
-
-    def skip(self, msg):
-        self.skipped.append(msg)
+def type_ok(value, kind):
+    if isinstance(value, bool):  # bool is an int subclass in Python
+        return kind == "bool"
+    return isinstance(value, TYPES[kind])
 
 
-def require(gate, name, data, field, kind):
-    if field not in data:
-        gate.fail(f"{name}: missing field '{field}'")
-        return None
-    value = data[field]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        gate.fail(f"{name}: field '{field}' is {type(value).__name__}, "
-                  f"expected {kind.__name__}")
-        return None
-    return value
+def parse_expr(text, fields):
+    """`field op literal` -> (field, op, literal); raises ValueError."""
+    m = re.fullmatch(r"`(\S+) (\S+) (.+)`", text)
+    if not m:
+        raise ValueError(f"expected `<field> <op> <literal>`: {text}")
+    field, op, lit = m.groups()
+    try:
+        literal = json.loads(lit)
+    except json.JSONDecodeError:
+        literal = None
+    kind = fields.get(field, ("undocumented",))[0]
+    if op not in OPS:
+        raise ValueError(f"unknown op '{op}' in {text}")
+    if not isinstance(literal, (bool, int, float, str)):
+        raise ValueError(f"unparsable literal '{lit}' in {text}")
+    if kind not in ("int", "float", "bool", "str") or "[]" in field \
+            or not type_ok(literal, kind) \
+            or (kind in ("bool", "str") and op not in ("==", "!=")):
+        raise ValueError(f"'{op} {lit}' does not apply to {kind} field "
+                         f"'{field}'")
+    return field, op, literal
 
 
-def require_rows(gate, name, data, key, row_fields):
-    rows = require(gate, name, data, key, list)
-    if rows is None:
-        return []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            gate.fail(f"{name}: {key}[{i}] is not an object")
-            return []
-        for field, kind in row_fields.items():
-            require(gate, f"{name}: {key}[{i}]", row, field, kind)
-    return rows
+def parse_spec(text):
+    """-> ({file: {field: (type, optional)}}, [gate], [error])."""
+    schemas, gates, errors, gate_rows = {}, [], [], []
+    section = header = None
+    for n, line in enumerate(text.splitlines(), 1):
+        if line.startswith("## "):
+            m = re.match(r"## `(BENCH_\w+\.json)`", line)
+            section = m and m.group(1)
+            if section:
+                schemas[section] = {}
+        row = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            header = None
+        elif header is None:
+            header = row
+        elif set("".join(row)) <= set("-: "):
+            continue
+        elif header == ["File", "Bar", "Enforced when"]:
+            gate_rows.append((n, row))
+        elif section and header[0] == "Field":
+            kind = row[1].removesuffix("?") if len(row) == 3 else None
+            if header != ["Field", "Type", "Meaning"] or kind not in TYPES \
+                    or not re.fullmatch(r"`[\w.\[\]]+`", row[0]):
+                errors.append(f"line {n}: bad field row {line.strip()}")
+                continue
+            field, schema = row[0].strip("`"), schemas[section]
+            for part in re.finditer(r"\[\]|\.", field):  # implied parents
+                schema.setdefault(field[:part.start()], (
+                    "list" if part.group() == "[]" else "object", False))
+            schema[field] = (kind, row[1].endswith("?"))
+    for n, row in gate_rows:
+        try:
+            name = row[0].strip("`")
+            if len(row) != 3 or name not in schemas:
+                raise ValueError(f"gate row needs a documented file, a bar "
+                                 f"and a condition: {' | '.join(row)}")
+            cond = None if row[2] == "always" else \
+                parse_expr(row[2], schemas[name])
+            gates.append((name, parse_expr(row[1], schemas[name]), cond))
+        except ValueError as err:
+            errors.append(f"line {n}: {err}")
+    return schemas, gates, errors
 
 
-def bar(gate, name, label, value, minimum, condition=True, why=""):
-    if value is None:
-        return
-    if not condition:
-        gate.skip(f"{name}: {label} = {value:.2f} (bar >= {minimum}) "
-                  f"SKIPPED: {why}")
-        return
-    if value >= minimum:
-        gate.ok(f"{name}: {label} = {value:.2f} >= {minimum}")
-    else:
-        gate.fail(f"{name}: {label} = {value:.2f} MISSES the bar "
-                  f">= {minimum}")
+def lookup(data, path):
+    """Every value at `path` as (location, value): MISSING where its
+    parent lacks it, nothing where the parent itself is absent."""
+    found = [("", data)]
+    for part in path.split("."):
+        key, step = part.removesuffix("[]"), []
+        for where, node in found:
+            if not isinstance(node, dict):
+                continue
+            here, value = f"{where}.{key}".lstrip("."), node.get(key, MISSING)
+            if not part.endswith("[]"):
+                step.append((here, value))
+            elif isinstance(value, list):
+                step += [(f"{here}[{i}]", v) for i, v in enumerate(value)]
+        found = step
+    return found
 
 
-def check_kernels(gate, name, data):
-    if require(gate, name, data, "bench", str) != "kernels_backend_compare":
-        gate.fail(f"{name}: bench != 'kernels_backend_compare'")
-    require(gate, name, data, "threads", int)
-    fp32_isa = require(gate, name, data, "fp32_isa", str)
-    require(gate, name, data, "i8_isa", str)
-    rows = require_rows(gate, name, data, "results", {
-        "shape": str, "kernel": str, "macs": int,
-        "scalar_ms": float, "blocked_ms": float, "speedup": float,
-    })
-    # Every training kernel must keep its blocked win on the stride-1 rows
-    # (the search hot path; shape names end in "_s<stride>").
-    for kernel in ("forward", "backward_input", "backward_weight"):
-        speedups = [r["speedup"] for r in rows
-                    if isinstance(r, dict) and r.get("kernel") == kernel
-                    and str(r.get("shape", "")).endswith("_s1")
-                    and isinstance(r.get("speedup"), (int, float))]
-        if not speedups:
-            gate.fail(f"{name}: no stride-1 {kernel} rows")
-            return
-        bar(gate, name, f"best stride-1 blocked-over-scalar {kernel} speedup",
-            max(speedups), 2.0)
-    spec_rows = require_rows(gate, name, data, "specialized", {
-        "shape": str, "dtype": str, "k": int, "c_in": int, "c_out": int,
-        "t": int, "generic_ms": float, "specialized_ms": float,
-        "speedup": float, "kernel": str,
-    })
-    # Rows whose signature fell back to generic (kernel "<isa>/generic")
-    # measure the fallback's zero cost, not a specialization win.
-    matched = [r["speedup"] for r in spec_rows
-               if isinstance(r, dict) and isinstance(r.get("kernel"), str)
-               and not r["kernel"].endswith("/generic")
-               and isinstance(r.get("speedup"), (int, float))]
-    if not matched:
-        gate.fail(f"{name}: no specialized (non-fallback) rows")
-        return
-    bar(gate, name, "best specialized-over-generic speedup",
-        max(matched), 1.03,
-        condition=fp32_isa is not None and fp32_isa != "base",
-        why=f"fp32 ISA level '{fp32_isa}' — no SIMD kernels to "
-            f"specialize on this hardware")
+def check(schemas, gates, name, data):
+    """Verdicts for one file: [(PASS|SKIP|FAIL, message)]."""
+    if name not in schemas:
+        return [("FAIL", f"{name}: unknown benchmark file — give it a "
+                         f"section in docs/BENCHMARKS.md")]
+    out = []
+    for field, (kind, optional) in schemas[name].items():
+        for where, value in lookup(data, field):
+            if value is MISSING and not optional:
+                out.append(("FAIL", f"{name}: missing field '{where}'"))
+            elif value is not MISSING and not type_ok(value, kind):
+                out.append(("FAIL", f"{name}: field '{where}' is "
+                                    f"{type(value).__name__}, not {kind}"))
+
+    def measure(field, op, literal):
+        """("field = value", "op literal", comparison result or None)."""
+        value = next((v for _, v in lookup(data, field)), MISSING)
+        if value is MISSING or not type_ok(value, schemas[name][field][0]):
+            return f"{field} = unusable", f"{op} {json.dumps(literal)}", None
+        shown = f"{value:.4g}" if isinstance(value, float) else \
+            json.dumps(value)
+        return (f"{field} = {shown}", f"{op} {json.dumps(literal)}",
+                OPS[op](value, literal))
+
+    for file, bar, cond in gates:
+        if file != name:
+            continue
+        value, bound, held = measure(*bar)
+        when = ""
+        if cond:
+            cvalue, cbound, cheld = measure(*cond)
+            if held is not None and cheld is False:
+                out.append(("SKIP", f"{name}: {value} (bar {bound}) "
+                                    f"SKIPPED: {cvalue}, enforced when "
+                                    f"{cond[0]} {cbound}"))
+                continue
+            held, when = held and cheld, f" (when {cvalue} {cbound})"
+        out.append(("PASS", f"{name}: {value} {bound}{when}") if held else
+                   ("FAIL", f"{name}: {value} MISSES the bar {bound}{when}"))
+    return out
 
 
-def check_runtime(gate, name, data):
-    require(gate, name, data, "max_threads", int)
-    require_rows(gate, name, data, "results", {
-        "model": str, "batch": int, "threads": int,
-        "module_ms": float, "compiled_ms": float, "speedup": float,
-    })
-    bar(gate, name, "worst_batched_temponet_speedup",
-        require(gate, name, data, "worst_batched_temponet_speedup", float),
-        2.0)
-    # Static plan verification must stay a plan-build-time cost: <= 10% on
-    # top of an unverified compile, and (by construction — it never runs on
-    # the forward path) 0% in steady state, which the speedup bar above
-    # already watches.
-    build = require(gate, name, data, "plan_build_ms", float)
-    noverify = require(gate, name, data, "plan_build_noverify_ms", float)
-    frac = require(gate, name, data, "verify_overhead_frac", float)
-    if frac is not None:
-        if frac <= 0.10:
-            gate.ok(f"{name}: verify_overhead_frac = {frac:.3f} <= 0.10")
-        else:
-            gate.fail(f"{name}: verify_overhead_frac = {frac:.3f} EXCEEDS "
-                      f"0.10 (plan build {build} ms verified vs {noverify} "
-                      f"ms unverified)")
+SELF_TEST_DOC = """## `BENCH_t.json` — self-test
+| Field | Type | Meaning |
+| --- | --- | --- |
+| `x` | float | gated value |
+| `n` | int | condition |
+| `rows[].k` | str | row field |
+| `extra` | object? | optional |
+
+## CI gates
+| File | Bar | Enforced when |
+| --- | --- | --- |
+| `BENCH_t.json` | `x >= 2.0` | `n >= 4` |
+"""
+SELF_TEST_CASES = [  # (expected verdict, file, JSON) on SELF_TEST_DOC
+    ("PASS", "BENCH_t.json", '{"x": 3, "n": 4, "rows": [{"k": "a"}]}'),
+    ("FAIL", "BENCH_t.json", '{"x": 1.0, "n": 4, "rows": []}'),
+    ("SKIP", "BENCH_t.json", '{"x": 1.0, "n": 1, "rows": []}'),
+    ("FAIL", "BENCH_t.json", '{"n": 4, "rows": []}'),
+    ("FAIL", "BENCH_t.json", '{"x": true, "n": 4, "rows": []}'),
+    ("FAIL", "BENCH_t.json", '{"x": 1.2, "n": true, "rows": []}'),
+    ("FAIL", "BENCH_t.json", '{"x": 3.0, "n": 4, "rows": [{}]}'),
+    ("FAIL", "BENCH_u.json", '{"x": 3.0, "n": 4, "rows": []}'),
+]
+SELF_TEST_MALFORMED = [  # gate rows that must each give one doc error
+    "| `BENCH_t.json` | `x => 2.0` | always |",
+    "| `BENCH_t.json` | `x >= two` | always |",
+    "| `BENCH_t.json` | `y >= 2.0` | always |",
+]
 
 
-def check_serve(gate, name, data):
-    threads = require(gate, name, data, "hardware_threads", int)
-    require(gate, name, data, "pool_threads", int)
-    require(gate, name, data, "requests_per_policy", int)
-    require_rows(gate, name, data, "results", {
-        "policy": str, "threads": int, "max_batch": int, "clients": int,
-        "throughput_rps": float, "p50_ms": float, "p99_ms": float,
-        "mean_batch": float,
-    })
-    bar(gate, name, "batched_over_single_speedup",
-        require(gate, name, data, "batched_over_single_speedup", float),
-        2.0,
-        condition=threads is not None and threads >= MIN_PARALLEL_THREADS,
-        why=f"{threads} hardware threads < {MIN_PARALLEL_THREADS}")
-
-
-def check_quant(gate, name, data):
-    variant = require(gate, name, data, "i8_kernel_variant", str)
-    require(gate, name, data, "max_threads", int)
-    macs_match = require(gate, name, data, "gap8_macs_all_match", bool)
-    if macs_match is False:
-        gate.fail(f"{name}: gap8_macs_all_match is false")
-    require_rows(gate, name, data, "results", {
-        "model": str, "batch": int, "threads": int,
-        "fp32_ms": float, "int8_ms": float, "speedup": float,
-    })
-    require_rows(gate, name, data, "layers", {
-        "model": str, "op": int, "desc": str,
-        "max_abs_err": float, "mean_abs_err": float, "bound": float,
-    })
-    bar(gate, name, "worst_batched_temponet_int8_speedup",
-        require(gate, name, data,
-                "worst_batched_temponet_int8_speedup", float),
-        1.5, condition=variant == "vnni",
-        why=f"i8 kernel variant '{variant}' has no VNNI dot product")
-
-
-def check_stream(gate, name, data):
-    threads = require(gate, name, data, "hardware_threads", int)
-    require(gate, name, data, "session_shards", int)
-    variant = require(gate, name, data, "i8_kernel_variant", str)
-    require(gate, name, data, "model", str)
-    rows = require_rows(gate, name, data, "results", {
-        "dtype": str, "mode": str, "sessions": int,
-        "steps_per_sec": float, "p50_us": float, "p99_us": float,
-    })
-    modes = {r.get("mode") for r in rows if isinstance(r, dict)}
-    for needed in ("single", "unbatched", "tick"):
-        if needed not in modes:
-            gate.fail(f"{name}: no '{needed}' rows")
-    bar(gate, name, "int8_over_fp32_stream_speedup",
-        require(gate, name, data, "int8_over_fp32_stream_speedup", float),
-        1.5, condition=variant == "vnni",
-        why=f"i8 kernel variant '{variant}' has no VNNI dot product")
-    bar(gate, name, "tick_over_unbatched_speedup",
-        require(gate, name, data, "tick_over_unbatched_speedup", float),
-        2.0,
-        condition=threads is not None and threads >= MIN_PARALLEL_THREADS,
-        why=f"{threads} hardware threads < {MIN_PARALLEL_THREADS}")
-
-
-def check_registry(gate, name, data):
-    require(gate, name, data, "models", int)
-    require(gate, name, data, "versions_per_model", int)
-    # The dedup bar: a 3-version fleet one retrained layer apart must
-    # share the physical bytes of every unchanged layer.
-    fleet = require(gate, name, data, "stream_fleet", dict)
-    dedup = None
-    if fleet is not None:
-        require(gate, f"{name}: stream_fleet", fleet, "logical_bytes", int)
-        require(gate, f"{name}: stream_fleet", fleet, "resident_bytes", int)
-        dedup = require(gate, f"{name}: stream_fleet", fleet,
-                        "dedup_ratio", float)
-    require(gate, name, data, "fleet", dict)
-    bar(gate, name, "stream_fleet dedup_ratio", dedup, 1.5)
-    # Re-registering an identical version must answer from the
-    # (fingerprint, shape class) memo, not recompile.
-    bar(gate, name, "memoized_recompile_speedup",
-        require(gate, name, data, "memoized_recompile_speedup", float),
-        10.0)
-    # Hot-swap latency under load is tracked (trajectory), not gated: it
-    # measures the drain of whatever traffic the runner happened to have
-    # in flight, so its absolute value is not a stable bar.
-    require(gate, name, data, "swaps", int)
-    require(gate, name, data, "swap_p50_ms", float)
-    require(gate, name, data, "swap_p99_ms", float)
-    traffic = require(gate, name, data, "traffic", dict)
-    if traffic is not None:
-        for field in ("fp32_steps", "int8_steps", "window_requests"):
-            require(gate, f"{name}: traffic", traffic, field, int)
-    stats = require(gate, name, data, "registry", dict)
-    if stats is not None:
-        for field in ("compiles", "compile_hits", "lowerings",
-                      "lowering_hits", "swaps", "leases"):
-            require(gate, f"{name}: registry", stats, field, int)
-        require(gate, f"{name}: registry", stats, "pool_dedup_ratio", float)
-
-
-def check_sessions(gate, name, data):
-    threads = require(gate, name, data, "hardware_threads", int)
-    require(gate, name, data, "shards_auto", int)
-    require(gate, name, data, "contention_threads", int)
-    require(gate, name, data, "single_shard_steps_per_sec", float)
-    require(gate, name, data, "sharded_steps_per_sec", float)
-    rows = require_rows(gate, name, data, "resident", {
-        "resident": int, "open_per_sec": float, "open_p999_us": float,
-        "step_per_sec": float, "step_p999_us": float,
-        "close_per_sec": float, "close_p999_us": float, "evictions": int,
-    })
-    # The scaling bar: striped registry + per-shard allocator must beat
-    # the single-shard (old global mutex) configuration under churn.
-    bar(gate, name, "sharded_over_single_speedup",
-        require(gate, name, data, "sharded_over_single_speedup", float),
-        2.0,
-        condition=threads is not None and threads >= MIN_PARALLEL_THREADS,
-        why=f"{threads} hardware threads < {MIN_PARALLEL_THREADS}")
-    # The thrash bar: a resident fleet within max_sessions, stepped at
-    # steady state, must never trip eviction — any nonzero count means
-    # open/step churn is recycling live sessions.
-    big = [r for r in rows if isinstance(r, dict)
-           and isinstance(r.get("resident"), int)
-           and r["resident"] >= 100000]
-    if not big:
-        gate.fail(f"{name}: no resident row at >= 100k sessions")
-    for r in big:
-        ev = r.get("evictions")
-        if isinstance(ev, int) and ev == 0:
-            gate.ok(f"{name}: {r['resident']} resident stepped with "
-                    f"0 evictions")
-        elif isinstance(ev, int):
-            gate.fail(f"{name}: {r['resident']} resident saw {ev} "
-                      f"evictions during stepping — eviction thrash")
-
-
-def check_frontend(gate, name, data):
-    if require(gate, name, data, "bench", str) != "frontend":
-        gate.fail(f"{name}: bench != 'frontend'")
-    threads = require(gate, name, data, "hw_threads", int)
-    require(gate, name, data, "mode", str)
-    capacity = require(gate, name, data, "capacity", dict)
-    if capacity is not None:
-        require(gate, f"{name}: capacity", capacity, "completed", int)
-        for field in ("rps", "p50_ms", "p99_ms", "p999_ms"):
-            require(gate, f"{name}: capacity", capacity, field, float)
-    overload = require(gate, name, data, "overload", dict)
-    goodput = None
-    if overload is not None:
-        for field in ("offered", "completed", "shed", "errors"):
-            require(gate, f"{name}: overload", overload, field, int)
-        for field in ("goodput_rps", "p50_ms", "p99_ms", "p999_ms"):
-            require(gate, f"{name}: overload", overload, field, float)
-        goodput = require(gate, f"{name}: overload", overload,
-                          "goodput_over_capacity", float)
-    # The overload bar: at 2x the measured capacity, admission control
-    # must keep goodput near capacity (shedding the excess fast) instead
-    # of collapsing into queueing. Meaningless when the load generator
-    # and the server share one core — the client cannot offer 2x.
-    bar(gate, name, "overload goodput_over_capacity", goodput, 0.70,
-        condition=threads is not None and threads >= MIN_PARALLEL_THREADS,
-        why=f"{threads} hardware threads < {MIN_PARALLEL_THREADS} — "
-            f"loadgen and server share cores, overload is not real")
-    probe = require(gate, name, data, "shed_probe", dict)
-    if probe is not None:
-        require(gate, f"{name}: shed_probe", probe, "burst", int)
-        require(gate, f"{name}: shed_probe", probe, "admitted", int)
-        shed = require(gate, f"{name}: shed_probe", probe, "shed", int)
-        require(gate, f"{name}: shed_probe", probe, "errors", int)
-        p99 = require(gate, f"{name}: shed_probe", probe, "shed_p99_ms",
-                      float)
-        # Sheds must be fast rejects, not timeouts: a RETRY_AFTER answer
-        # to a burst past the budget has to come back in milliseconds.
-        if shed is not None and p99 is not None:
-            if shed == 0:
-                gate.skip(f"{name}: shed_probe shed_p99_ms SKIPPED: the "
-                          f"burst never exceeded the admission budget")
-            elif p99 <= 250.0:
-                gate.ok(f"{name}: shed_probe shed_p99_ms = {p99:.2f} "
-                        f"<= 250.0 ({shed} fast-rejects)")
-            else:
-                gate.fail(f"{name}: shed_probe shed_p99_ms = {p99:.2f} "
-                          f"EXCEEDS 250.0 — sheds are timing out, not "
-                          f"fast-rejecting")
-    stream = require(gate, name, data, "stream", dict)
-    if stream is not None:
-        steps = require(gate, f"{name}: stream", stream, "steps", int)
-        require(gate, f"{name}: stream", stream, "errors", int)
-        for field in ("p50_ms", "p99_ms", "p999_ms"):
-            require(gate, f"{name}: stream", stream, field, float)
-        if steps is not None and steps <= 0:
-            gate.fail(f"{name}: stream ran no steps")
-    # Any protocol/transport error during the run is a failure outright;
-    # sheds are the only acceptable non-answer.
-    for section, d in (("overload", overload), ("shed_probe", probe),
-                       ("stream", stream)):
-        if d is not None and isinstance(d.get("errors"), int) \
-                and d["errors"] > 0:
-            gate.fail(f"{name}: {section} recorded {d['errors']} "
-                      f"error(s) — only RETRY_AFTER sheds are acceptable")
-
-
-CHECKERS = {
-    "BENCH_kernels.json": check_kernels,
-    "BENCH_runtime.json": check_runtime,
-    "BENCH_serve.json": check_serve,
-    "BENCH_quant.json": check_quant,
-    "BENCH_stream.json": check_stream,
-    "BENCH_registry.json": check_registry,
-    "BENCH_sessions.json": check_sessions,
-    "BENCH_frontend.json": check_frontend,
-}
+def self_test():
+    """Problems found in this script's own logic (empty when sound)."""
+    schemas, gates, problems = parse_spec(SELF_TEST_DOC)
+    for want, name, text in SELF_TEST_CASES:
+        kinds = {v for v, _ in check(schemas, gates, name, json.loads(text))}
+        got = next((k for k in ("FAIL", "SKIP") if k in kinds), "PASS")
+        if got != want:
+            problems.append(f"{name} {text}: {got}, expected {want}")
+    for row in SELF_TEST_MALFORMED:
+        if len(parse_spec(f"{SELF_TEST_DOC}{row}\n")[2]) != 1:
+            problems.append(f"malformed gate row not rejected: {row}")
+    return problems
 
 
 def main(argv):
+    problems = self_test()
+    if problems:
+        print("\n".join(f"FAIL  self-test: {p}" for p in problems))
+        print("\ncheck_bench: the self-test failed; no file was checked")
+        return 1
+    schemas, gates, errors = parse_spec(SPEC.read_text(encoding="utf-8"))
+    results = [("FAIL", f"{SPEC.name}: {e}") for e in errors]
     roots = [pathlib.Path(a) for a in argv[1:]] or [pathlib.Path(".")]
-    files = []
-    for root in roots:
-        if root.is_dir():
-            files.extend(sorted(root.glob("BENCH_*.json")))
-        else:
-            files.append(root)
-    gate = Gate()
+    files = [f for root in roots for f in (
+        sorted(root.glob("BENCH_*.json")) if root.is_dir() else [root])]
     if not files:
-        gate.fail(f"no BENCH_*.json found under: "
-                  f"{', '.join(str(r) for r in roots)}")
+        results.append(("FAIL", f"no BENCH_*.json found under: "
+                                f"{', '.join(str(r) for r in roots)}"))
     for path in files:
-        name = path.name
-        checker = CHECKERS.get(name)
-        if checker is None:
-            gate.fail(f"{name}: unknown benchmark file — add its schema to "
-                      f"scripts/check_bench.py and docs/BENCHMARKS.md")
-            continue
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as err:
-            gate.fail(f"{name}: unreadable ({err})")
+            results.append(("FAIL", f"{path.name}: unreadable ({err})"))
             continue
-        checker(gate, name, data)
+        results += check(schemas, gates, path.name, data)
 
-    for msg in gate.passed:
-        print(f"PASS  {msg}")
-    for msg in gate.skipped:
-        print(f"SKIP  {msg}")
-    for msg in gate.errors:
-        print(f"FAIL  {msg}")
-    total = len(files)
-    if gate.errors:
-        print(f"\ncheck_bench: {len(gate.errors)} failure(s) across "
-              f"{total} file(s)")
+    count = {k: [m for v, m in results if v == k]
+             for k in ("PASS", "SKIP", "FAIL")}
+    for kind, messages in count.items():
+        for msg in messages:
+            print(f"{kind}  {msg}")
+    if count["FAIL"]:
+        print(f"\ncheck_bench: {len(count['FAIL'])} failure(s) across "
+              f"{len(files)} file(s)")
         return 1
-    print(f"\ncheck_bench: OK ({total} file(s), {len(gate.passed)} bar(s) "
-          f"held, {len(gate.skipped)} skipped)")
+    print(f"\ncheck_bench: OK ({len(files)} file(s), {len(count['PASS'])} "
+          f"bar(s) held, {len(count['SKIP'])} skipped)")
     return 0
 
 

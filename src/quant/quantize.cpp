@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/conv1d.hpp"
 #include "tensor/error.hpp"
 
 namespace pit::quant {
@@ -82,24 +81,6 @@ std::uint8_t quantize_u8(float v, const QuantParams& params) {
   return static_cast<std::uint8_t>(std::clamp(q, 0L, 255L));
 }
 
-std::vector<std::int8_t> quantize_tensor(std::span<const float> values,
-                                         const QuantParams& params) {
-  std::vector<std::int8_t> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = params.quantize(values[i]);
-  }
-  return out;
-}
-
-std::vector<float> dequantize_tensor(std::span<const std::int8_t> values,
-                                     const QuantParams& params) {
-  std::vector<float> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = params.dequantize(values[i]);
-  }
-  return out;
-}
-
 double max_roundtrip_error(std::span<const float> values,
                            const QuantParams& params) {
   double worst = 0.0;
@@ -108,55 +89,6 @@ double max_roundtrip_error(std::span<const float> values,
     worst = std::max(worst, static_cast<double>(std::fabs(back - v)));
   }
   return worst;
-}
-
-Tensor quantized_causal_conv1d(const Tensor& x, const Tensor& weight,
-                               const Tensor& bias, index_t dilation,
-                               index_t stride, const QuantParams& x_quant) {
-  PIT_CHECK(x.rank() == 3 && weight.rank() == 3,
-            "quantized_causal_conv1d: bad ranks");
-  PIT_CHECK(x.dim(1) == weight.dim(1), "quantized_causal_conv1d: Cin");
-  const QuantParams w_quant = calibrate_symmetric(weight.span());
-  const auto xq = quantize_tensor(x.span(), x_quant);
-  const auto wq = quantize_tensor(weight.span(), w_quant);
-
-  const index_t n = x.dim(0);
-  const index_t cin = x.dim(1);
-  const index_t t_in = x.dim(2);
-  const index_t cout = weight.dim(0);
-  const index_t k = weight.dim(2);
-  const index_t t_out = nn::causal_conv1d_output_steps(t_in, stride);
-
-  Tensor out = Tensor::zeros(Shape{n, cout, t_out});
-  const float out_scale = x_quant.scale * w_quant.scale;
-  for (index_t ni = 0; ni < n; ++ni) {
-    for (index_t co = 0; co < cout; ++co) {
-      for (index_t t = 0; t < t_out; ++t) {
-        std::int64_t acc = 0;  // int32 accumulator semantics (no overflow
-                               // at our sizes; int64 keeps the check simple)
-        for (index_t ci = 0; ci < cin; ++ci) {
-          for (index_t i = 0; i < k; ++i) {
-            const index_t src = t * stride - i * dilation;
-            if (src < 0) {
-              continue;
-            }
-            const std::int32_t xv =
-                xq[static_cast<std::size_t>((ni * cin + ci) * t_in + src)] -
-                x_quant.zero_point;
-            const std::int32_t wv =
-                wq[static_cast<std::size_t>((co * cin + ci) * k + i)];
-            acc += static_cast<std::int64_t>(xv) * wv;
-          }
-        }
-        float value = out_scale * static_cast<float>(acc);
-        if (bias.defined()) {
-          value += bias.data()[co];
-        }
-        out.data()[(ni * cout + co) * t_out + t] = value;
-      }
-    }
-  }
-  return out;
 }
 
 double fake_quantize_parameters(nn::Module& model) {

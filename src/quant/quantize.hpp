@@ -2,15 +2,14 @@
 // GreenWaves' NN-Tool; this module is our stand-in for that flow).
 //
 // Weights use per-tensor symmetric quantization (zero point 0); activations
-// use per-tensor affine quantization calibrated from observed ranges. A
-// quantized conv kernel with int32 accumulation validates that the numeric
-// behaviour survives the int8 round trip, and fake-quantization utilities
-// let any trained float model be evaluated "as deployed".
+// use per-tensor affine quantization calibrated from observed ranges. The
+// int8 runtime (runtime/quantize_plan.hpp) lowers compiled plans with these
+// parameters, and fake-quantization utilities let any trained float model
+// be evaluated "as deployed".
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "nn/module.hpp"
 #include "tensor/tensor.hpp"
@@ -58,22 +57,9 @@ QuantParams affine_u8_from_range(float lo, float hi);
 /// of v/scale + zero_point, clamped to [0, 255].
 std::uint8_t quantize_u8(float v, const QuantParams& params);
 
-std::vector<std::int8_t> quantize_tensor(std::span<const float> values,
-                                         const QuantParams& params);
-std::vector<float> dequantize_tensor(std::span<const std::int8_t> values,
-                                     const QuantParams& params);
-
 /// Worst-case absolute error of the round trip: <= scale/2 within range.
 double max_roundtrip_error(std::span<const float> values,
                            const QuantParams& params);
-
-/// int8 causal dilated convolution with int32 accumulators, matching the
-/// float reference within quantization error. x is (N, C, T) float (it is
-/// quantized internally with `x_quant`); the weight is quantized with
-/// per-tensor symmetric parameters; the float output is reconstructed.
-Tensor quantized_causal_conv1d(const Tensor& x, const Tensor& weight,
-                               const Tensor& bias, index_t dilation,
-                               index_t stride, const QuantParams& x_quant);
 
 /// Rounds every parameter of the module through int8 in place (symmetric
 /// per-tensor), simulating deployed weights. Returns the worst per-tensor

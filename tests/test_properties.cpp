@@ -11,7 +11,6 @@
 #include "models/tcn_common.hpp"
 #include "models/temponet.hpp"
 #include "nn/conv1d.hpp"
-#include "quant/quantize.hpp"
 #include "tensor/ops.hpp"
 
 namespace pit {
@@ -139,47 +138,6 @@ TEST(Property, Gap8EnergyProportionalToLatency) {
                 model.config().active_power_w, 1e-9);
   }
 }
-
-// ---- Quantization error scaling --------------------------------------------
-
-struct QuantSweepCase {
-  index_t cin;
-  index_t k;
-  index_t t;
-};
-
-class QuantErrorSweep : public ::testing::TestWithParam<QuantSweepCase> {};
-
-TEST_P(QuantErrorSweep, QuantizedConvErrorWithinAccumulationBudget) {
-  const auto c = GetParam();
-  RandomEngine rng(4000 + c.cin * 100 + c.k);
-  Tensor x = Tensor::randn(Shape{1, c.cin, c.t}, rng);
-  Tensor w = Tensor::randn(Shape{2, c.cin, c.k}, rng);
-  const quant::QuantParams xq = quant::calibrate_affine(x.span());
-  const quant::QuantParams wq = quant::calibrate_symmetric(w.span());
-  Tensor got = quant::quantized_causal_conv1d(x, w, Tensor(), 1, 1, xq);
-  Tensor want = nn::causal_conv1d(x, w, Tensor(), 1, 1);
-  // Worst-case error grows with the number of accumulated products;
-  // a loose analytic budget: terms * (|x|max * wq.scale/2 + |w|max *
-  // xq.scale/2 + cross-term). We use a simplified conservative bound.
-  const double terms = static_cast<double>(c.cin) * c.k;
-  const double budget =
-      terms * (3.0 * wq.scale / 2 + 3.0 * xq.scale / 2 + xq.scale * wq.scale);
-  for (index_t i = 0; i < got.numel(); ++i) {
-    EXPECT_NEAR(got.data()[i], want.data()[i], budget)
-        << "cin=" << c.cin << " k=" << c.k;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, QuantErrorSweep,
-    ::testing::Values(QuantSweepCase{1, 3, 16}, QuantSweepCase{4, 5, 16},
-                      QuantSweepCase{8, 9, 32}, QuantSweepCase{16, 17, 32},
-                      QuantSweepCase{32, 3, 64}),
-    [](const ::testing::TestParamInfo<QuantSweepCase>& info) {
-      return "cin" + std::to_string(info.param.cin) + "k" +
-             std::to_string(info.param.k) + "t" + std::to_string(info.param.t);
-    });
 
 // ---- Conv algebra -----------------------------------------------------------
 

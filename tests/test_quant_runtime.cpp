@@ -88,10 +88,14 @@ struct ConvCase {
 
 TEST(QuantizedConvPlan, ParityAcrossAdversarialShapes) {
   // Ragged channel quads (c % 4), ragged co tiles (c_out % 16), long
-  // dilated leads, k = 1 pointwise, and steps below one time tile.
+  // dilated leads, k = 1 pointwise, and steps below one time tile. The
+  // last five rows sweep the accumulation depth c_in * k from 3 to 272
+  // products per output at d = 1.
   const std::vector<ConvCase> cases = {
       {3, 5, 1, 1, 7},   {4, 16, 3, 2, 32},  {6, 17, 5, 3, 31},
       {1, 1, 7, 4, 40},  {13, 8, 3, 8, 64},  {5, 20, 2, 1, 5},
+      {1, 2, 3, 1, 16},  {4, 2, 5, 1, 16},   {8, 2, 9, 1, 32},
+      {16, 2, 17, 1, 32}, {32, 2, 3, 1, 64},
   };
   RandomEngine rng(701);
   for (const ConvCase& c : cases) {
