@@ -12,7 +12,6 @@
 // >= 2x the throughput of single-thread single-request serving (the
 // max_batch=1, threads=1 direct loop every PR-2 caller was limited to).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -200,7 +199,6 @@ int main(int argc, char** argv) {
   emit(drive_direct(plan, requests, batched_samples));
 
   serve::ServerOptions options;
-  options.max_wait = std::chrono::microseconds(200);
   for (const int threads : {1, pool_threads}) {
     for (const index_t batch : {index_t{1}, max_batch}) {
       options.threads = threads;

@@ -24,6 +24,7 @@
 //   ./build/loadgen_frontend [--quick] [--connect HOST:PORT]
 //       [--connections N] [--streams N] [--duration SECS] [--rate RPS]
 //       [--out PATH]
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -416,7 +417,6 @@ int main(int argc, char** argv) {
     serve::ServerOptions sopts;
     sopts.threads =
         hw_threads > 2 ? static_cast<int>(std::min(hw_threads - 1U, 4U)) : 2;
-    sopts.max_wait = std::chrono::microseconds(500);
     server = std::make_unique<serve::InferenceServer>(plans.submit_plan,
                                                       sopts);
     sessions = std::make_unique<serve::SessionManager>(plans.stream_plan);

@@ -16,6 +16,7 @@
 // socket-served SUBMIT and STEP outputs to be bit-identical to direct
 // InferenceServer / StreamSession calls on the same inputs. CTest runs
 // this mode (example_frontend_server_smoke).
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -44,7 +45,6 @@ int run_smoke() {
   const bench::ServedPlans plans = bench::make_served_temponet_plans();
   serve::ServerOptions server_opts;
   server_opts.threads = 2;
-  server_opts.max_wait = std::chrono::microseconds(200);
   serve::InferenceServer server(plans.submit_plan, server_opts);
   serve::SessionManagerOptions session_opts;
   session_opts.max_sessions = 64;

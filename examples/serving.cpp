@@ -45,7 +45,6 @@ int main() {
   serve::ServerOptions options;
   options.threads = 2;
   options.max_batch = 8;
-  options.max_wait = std::chrono::milliseconds(1);
   serve::InferenceServer server(plan, options);
 
   constexpr int kClients = 4;

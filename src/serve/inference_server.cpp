@@ -52,6 +52,17 @@ void check_sample_shape(const Tensor& input, index_t c, index_t t,
                 << input.shape().to_string());
 }
 
+/// Hands one request its answer. A completion's own failure belongs to its
+/// caller: it must not be taken for a forward failure of the batch, nor
+/// end the worker.
+void complete(const InferenceServer::Completion& done, Tensor&& out,
+              std::exception_ptr err) noexcept {
+  try {
+    done(std::move(out), err);
+  } catch (...) {
+  }
+}
+
 }  // namespace
 
 std::future<Tensor> InferenceServer::submit(Tensor input) {
@@ -91,7 +102,6 @@ InferenceServer::Admission InferenceServer::enqueue(Tensor input,
   Request req;
   req.input = std::move(input);
   req.done = std::move(done);
-  req.enqueued = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -117,23 +127,15 @@ void InferenceServer::worker_loop() {
   std::vector<Request> batch;
   for (;;) {
     batch.clear();
+    bool more_queued = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) {
         return;  // stopping and fully drained
       }
-      // Micro-batching: hold the batch open until it fills or the oldest
-      // request's deadline passes. During shutdown, flush immediately.
-      const auto deadline = queue_.front().enqueued + options_.max_wait;
-      while (!stopping_ && !queue_.empty() &&
-             static_cast<index_t>(queue_.size()) < options_.max_batch &&
-             std::chrono::steady_clock::now() < deadline) {
-        cv_.wait_until(lock, deadline);
-      }
-      if (queue_.empty()) {
-        continue;  // a sibling drained it while this worker held the batch
-      }
+      // Greedy micro-batching: a free worker takes what is queued, up to
+      // max_batch, and runs it now.
       const std::size_t take =
           std::min(queue_.size(),
                    static_cast<std::size_t>(options_.max_batch));
@@ -142,12 +144,14 @@ void InferenceServer::worker_loop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
+      more_queued = !queue_.empty();
       ++stats_.batches;
       stats_.max_batch_executed = std::max(
           stats_.max_batch_executed, static_cast<index_t>(batch.size()));
     }
-    // More requests may remain queued: wake a sibling before running.
-    cv_.notify_one();
+    if (more_queued) {
+      cv_.notify_one();  // the rest is a sibling's batch
+    }
     // Resolve the active version per batch: the lease pins the plan and
     // holds a concurrent swap's drain until this batch completes; the
     // next batch picks up the new version automatically.
@@ -187,9 +191,8 @@ void InferenceServer::run_batch(std::vector<Request>& batch,
       std::memcpy(slice.data(), src + i * out_floats,
                   static_cast<std::size_t>(out_floats) * sizeof(float));
       Request& req = batch[static_cast<std::size_t>(i)];
-      req.delivered = true;  // before the handoff: a throwing callback
-                             // must not get a second (error) delivery
-      req.done(std::move(slice), nullptr);
+      req.delivered = true;
+      complete(req.done, std::move(slice), nullptr);
     }
   } catch (...) {
     const std::exception_ptr err = std::current_exception();
@@ -198,7 +201,7 @@ void InferenceServer::run_batch(std::vector<Request>& batch,
         continue;  // success already handed out before the throw
       }
       req.delivered = true;
-      req.done(Tensor(), err);
+      complete(req.done, Tensor(), err);
     }
   }
 }

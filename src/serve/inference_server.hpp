@@ -6,13 +6,14 @@
 // thread and get a future; a pool of worker threads — each owning its own ExecutionContext,
 // which is what makes concurrent execution of the shared plan safe (see
 // the thread-safety contract in runtime/compiled_net.hpp) — drains a
-// dynamic micro-batching queue. Requests coalesce until either max_batch
-// samples are waiting or the oldest request has waited max_wait, then run
-// as ONE batched forward; the batch is split back into per-request output
-// tensors. Micro-batching is the classic serving trade: a bounded latency
-// tax on the first request in a batch buys amortized per-op dispatch and
-// kernel efficiency across the whole batch — the knob that lets the
-// single-shot runtime of PR 2 hold up under many concurrent clients.
+// greedy micro-batching queue. A free worker takes everything queued, up
+// to max_batch requests, and runs it as ONE batched forward; the batch is
+// split back into per-request output tensors. No worker waits for a batch
+// to fill: a lone request runs at once, and requests that arrive while
+// every worker is busy queue up and run together, so the batch size
+// follows the load. Batching amortizes per-op dispatch and kernel
+// efficiency across concurrent clients without a latency tax on the idle
+// path.
 //
 // For latency-critical single-sample flows (one time step arriving at a
 // time), see StreamSession in stream_session.hpp; for session-scale
@@ -21,7 +22,6 @@
 // All three serve fp32 and int8 plans alike (the plan dispatches).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -41,10 +41,8 @@ struct ServerOptions {
   /// Worker threads; each owns one ExecutionContext and runs whole
   /// batches, so throughput scales with inter-request parallelism.
   int threads = 2;
-  /// A batch runs as soon as this many requests are queued...
+  /// A free worker takes at most this many queued requests per batch.
   index_t max_batch = 16;
-  /// ...or once the oldest queued request has waited this long.
-  std::chrono::microseconds max_wait{200};
   /// Backpressure: submit() throws once this many requests are queued.
   std::size_t max_queue = 4096;
   /// OpenMP threads each worker grants the kernels (intra-op parallelism).
@@ -95,7 +93,8 @@ class InferenceServer {
   /// meaningful: on success the output tensor, on failure the exception
   /// that killed the batch. Runs on a worker thread holding NO server
   /// lock — it may call back into the server, but must not block (it
-  /// stalls the whole batch's worker).
+  /// stalls the whole batch's worker). An exception it throws is dropped:
+  /// it reaches no other request and never leaves the worker.
   using Completion = std::function<void(Tensor&&, std::exception_ptr)>;
 
   /// Callback flavor of submit() for event-loop callers that must never
@@ -121,7 +120,6 @@ class InferenceServer {
     Tensor input;
     Completion done;  // submit() passes one that fulfils its promise
     bool delivered = false;  // success already handed out (error barrier)
-    std::chrono::steady_clock::time_point enqueued;
   };
 
   enum class Admission { kQueued, kStopping, kFull };

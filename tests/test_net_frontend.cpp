@@ -55,7 +55,6 @@ const Plans& plans() {
 serve::ServerOptions small_server_options() {
   serve::ServerOptions opts;
   opts.threads = 2;
-  opts.max_wait = std::chrono::microseconds(200);
   return opts;
 }
 

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
+#include <latch>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "models/restcn.hpp"
@@ -68,7 +73,6 @@ TEST(InferenceServer, ServedResultsMatchModuleForward) {
   ServerOptions options;
   options.threads = 3;
   options.max_batch = 8;
-  options.max_wait = std::chrono::microseconds(500);
   InferenceServer server(fx.plan, options);
 
   std::vector<Tensor> expected;
@@ -94,7 +98,6 @@ TEST(InferenceServer, CoalescesConcurrentRequestsIntoBatches) {
   ServerOptions options;
   options.threads = 1;  // one worker: every coalesce is visible in stats
   options.max_batch = 16;
-  options.max_wait = std::chrono::milliseconds(5);
   InferenceServer server(fx.plan, options);
 
   constexpr int kClients = 4;
@@ -132,20 +135,18 @@ TEST(InferenceServer, CoalescesConcurrentRequestsIntoBatches) {
   EXPECT_GT(stats.mean_batch(), 1.0);
 }
 
-TEST(InferenceServer, DeadlineFlushesAPartialBatch) {
+TEST(InferenceServer, LoneRequestRunsWithoutWaitingForABatch) {
   TempoNetFixture fx;
   ServerOptions options;
   options.threads = 1;
-  options.max_batch = 1024;  // never fills — only the deadline can flush
-  options.max_wait = std::chrono::milliseconds(2);
+  options.max_batch = 1024;  // never fills
   InferenceServer server(fx.plan, options);
 
   auto [sample, ref] = fx.make_sample();
   std::future<Tensor> fut = server.submit(std::move(sample));
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)),
             std::future_status::ready)
-      << "a lone request must be flushed by the deadline, not wait for "
-         "max_batch";
+      << "a free worker must run a lone request, not wait for max_batch";
   EXPECT_LT(max_abs_diff(fut.get(), ref), 1e-4F);
 }
 
@@ -154,7 +155,6 @@ TEST(InferenceServer, ShutdownDrainsEveryQueuedRequest) {
   ServerOptions options;
   options.threads = 2;
   options.max_batch = 4;
-  options.max_wait = std::chrono::milliseconds(50);
   auto server = std::make_unique<InferenceServer>(fx.plan, options);
 
   std::vector<std::future<Tensor>> futures;
@@ -186,6 +186,156 @@ TEST(InferenceServer, RejectsBadInputs) {
   ServerOptions bad;
   bad.threads = 0;
   EXPECT_THROW(InferenceServer(fx.plan, bad), Error);
+}
+
+/// Parks the only worker of `server` inside the completion of one request
+/// until release(), so that requests queued meanwhile wait behind it and
+/// the batches they form do not depend on timing. Declare it after the
+/// server: its destructor releases the worker, so a failed assertion
+/// cannot leave shutdown() joining a parked thread.
+class HeldWorker {
+ public:
+  HeldWorker(InferenceServer& server, const Tensor& sample) {
+    std::shared_future<void> opened = opened_;
+    EXPECT_TRUE(server.try_submit(
+        sample.clone(), [this, opened](Tensor&&, std::exception_ptr) {
+          entered_.count_down();
+          opened.wait();
+        }));
+    entered_.wait();  // the request has left the queue
+  }
+  ~HeldWorker() { release(); }
+  HeldWorker(const HeldWorker&) = delete;
+  HeldWorker& operator=(const HeldWorker&) = delete;
+
+  void release() {
+    if (!released_) {
+      released_ = true;
+      gate_.set_value();
+    }
+  }
+
+ private:
+  std::latch entered_{1};
+  std::promise<void> gate_;
+  std::shared_future<void> opened_ = gate_.get_future().share();
+  bool released_ = false;
+};
+
+TEST(InferenceServer, RequestsQueuedBehindABusyWorkerRunAsOneBatch) {
+  TempoNetFixture fx;
+  const Tensor hold = fx.make_sample().first;
+  for (const int n : {1, 5, 8}) {
+    ServerOptions options;
+    options.threads = 1;
+    options.max_batch = 8;
+    InferenceServer server(fx.plan, options);
+    HeldWorker held(server, hold);
+    std::vector<Tensor> expected;
+    std::vector<std::future<Tensor>> futures;
+    for (int i = 0; i < n; ++i) {
+      auto [sample, ref] = fx.make_sample();
+      expected.push_back(std::move(ref));
+      futures.push_back(server.submit(std::move(sample)));
+    }
+    held.release();
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_LT(max_abs_diff(futures[i].get(), expected[i]), 1e-4F)
+          << "n " << n << ", request " << i;
+    }
+    server.shutdown();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.batches, 2u) << "n " << n;
+    EXPECT_EQ(stats.max_batch_executed, n) << "n " << n;
+    EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(n + 1));
+  }
+}
+
+TEST(InferenceServer, QueuedRequestsRunAsFullBatchesInFifoOrder) {
+  TempoNetFixture fx;
+  const Tensor sample = fx.make_sample().first;
+  ServerOptions options;
+  options.threads = 1;
+  options.max_batch = 8;
+  InferenceServer server(fx.plan, options);
+  HeldWorker held(server, sample);
+  // (request, batch it ran in). Only the worker writes; shutdown() joins
+  // it before the test reads.
+  std::vector<std::pair<int, std::uint64_t>> ran;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(server.try_submit(
+        sample.clone(), [&, i](Tensor&&, std::exception_ptr err) {
+          EXPECT_FALSE(err) << "request " << i;
+          // One worker: its current batch is the last one taken.
+          ran.emplace_back(i, server.stats().batches);
+        }));
+  }
+  held.release();
+  server.shutdown();
+  ASSERT_EQ(ran.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    const auto& [request, batch] = ran[static_cast<std::size_t>(i)];
+    EXPECT_EQ(request, i) << "completions out of FIFO order";
+    // Batch 1 is the held request; 20 queued run as 8, 8, 4.
+    EXPECT_EQ(batch, static_cast<std::uint64_t>(2 + i / 8))
+        << "request " << i;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.max_batch_executed, 8);
+  EXPECT_EQ(stats.completed, 21u);
+}
+
+TEST(InferenceServer, TrySubmitRejectsWithoutCallingBackWhenFullOrStopped) {
+  TempoNetFixture fx;
+  const Tensor sample = fx.make_sample().first;
+  ServerOptions options;
+  options.threads = 1;
+  options.max_queue = 2;
+  InferenceServer server(fx.plan, options);
+  HeldWorker held(server, sample);  // its request no longer counts
+  std::atomic<int> calls{0};
+  const auto count = [&calls](Tensor&&, std::exception_ptr) { ++calls; };
+  EXPECT_TRUE(server.try_submit(sample.clone(), count));
+  EXPECT_TRUE(server.try_submit(sample.clone(), count));
+  EXPECT_FALSE(server.try_submit(sample.clone(), count)) << "queue is full";
+  held.release();
+  server.shutdown();
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_FALSE(server.try_submit(sample.clone(), count)) << "server stopped";
+  EXPECT_EQ(calls.load(), 2) << "a rejected request must not call back";
+  EXPECT_EQ(server.stats().requests, 3u);
+}
+
+TEST(InferenceServer, ThrowingCompletionFailsNoOtherRequest) {
+  TempoNetFixture fx;
+  const Tensor sample = fx.make_sample().first;
+  ServerOptions options;
+  options.threads = 1;
+  InferenceServer server(fx.plan, options);
+  HeldWorker held(server, sample);
+  // Only the worker writes; shutdown() joins it before the test reads.
+  int ok = 0;
+  int failed = 0;
+  const auto tally = [&](Tensor&&, std::exception_ptr err) {
+    ++(err ? failed : ok);
+  };
+  ASSERT_TRUE(server.try_submit(
+      sample.clone(), [&](Tensor&&, std::exception_ptr err) {
+        if (err) {
+          ++failed;
+          return;
+        }
+        throw std::runtime_error("client completion failed");
+      }));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(server.try_submit(sample.clone(), tally));
+  }
+  held.release();  // the four queued requests run as one batch
+  server.shutdown();
+  EXPECT_EQ(ok, 3) << "outputs computed for the batch must be delivered";
+  EXPECT_EQ(failed, 0) << "the forward did not fail";
+  EXPECT_EQ(server.stats().batches, 2u);
 }
 
 // ---- StreamSession ---------------------------------------------------------
