@@ -183,33 +183,44 @@ int main(int argc, char** argv) {
               "max_batch", "clients", "throughput", "p50_ms", "p99_ms",
               "mean_batch");
 
-  std::vector<Row> rows;
-  const auto emit = [&](Row row) {
-    std::printf("%-18s %7d %9lld %7d %9.0f/s %8.3f %8.3f %10.2f\n",
-                row.policy.c_str(), row.threads,
-                static_cast<long long>(row.max_batch), row.clients,
-                row.throughput_rps(), row.p50_ms, row.p99_ms,
-                row.mean_batch);
-    rows.push_back(std::move(row));
-  };
-
   // Warm-up pass (thread pool spin-up, arena growth, page faults).
   drive_direct(plan, 200, batched_samples);
 
-  emit(drive_direct(plan, requests, batched_samples));
-
+  // One direct pass runs before each server policy and one after the
+  // last; its rate moves with whatever ran just before it, so the median
+  // pass is the direct_single row (and the speedup's denominator).
+  std::vector<Row> direct;
+  std::vector<Row> rows;
   serve::ServerOptions options;
   for (const int threads : {1, pool_threads}) {
     for (const index_t batch : {index_t{1}, max_batch}) {
+      direct.push_back(drive_direct(plan, requests, batched_samples));
       options.threads = threads;
       options.max_batch = batch;
       const std::string policy = std::string("server_t") +
                                  std::to_string(threads) + "_b" +
                                  std::to_string(batch);
-      emit(drive_server(plan, options, clients, per_client, flat_samples,
-                        policy));
+      rows.push_back(drive_server(plan, options, clients, per_client,
+                                  flat_samples, policy));
     }
   }
+  direct.push_back(drive_direct(plan, requests, batched_samples));
+  std::sort(direct.begin(), direct.end(), [](const Row& a, const Row& b) {
+    return a.throughput_rps() < b.throughput_rps();
+  });
+  rows.insert(rows.begin(), direct[direct.size() / 2]);
+  for (const Row& row : rows) {
+    std::printf("%-18s %7d %9lld %7d %9.0f/s %8.3f %8.3f %10.2f\n",
+                row.policy.c_str(), row.threads,
+                static_cast<long long>(row.max_batch), row.clients,
+                row.throughput_rps(), row.p50_ms, row.p99_ms,
+                row.mean_batch);
+  }
+  std::printf("direct_single passes (req/s, sorted):");
+  for (const Row& pass : direct) {
+    std::printf(" %.0f", pass.throughput_rps());
+  }
+  std::printf("\n");
 
   // Acceptance: best batched multi-threaded policy vs single-thread
   // single-request serving (the direct loop — the PR-2 status quo; the

@@ -1,19 +1,23 @@
-// Open-loop load generator for the network front end (docs/PROTOCOL.md).
+// Load generator for the network front end (docs/PROTOCOL.md).
 //
-// Three phases against a real TCP socket (an in-process FrontEnd over
-// loopback by default; --connect drives an external server):
+// Drives a real TCP socket (an in-process FrontEnd over loopback by
+// default; --connect drives an external server). Every SUBMIT goes
+// through one per-connection loop, drive_submits(); each phase is that
+// loop with a different sending rule:
 //
-//   1. capacity  — closed-loop: N connections submit back-to-back; the
-//      completion rate is the measured capacity of this host.
-//   2. overload  — OPEN-loop at 2x capacity (or --rate): every request
-//      has a scheduled arrival time and is sent at that time regardless
-//      of how slow responses are, with latency measured from the
-//      SCHEDULED time — the coordinated-omission-proof number. Stream
-//      connections run concurrently (PPG/ECG/sEMG/KWS-flavored tick
-//      waveforms, the multi-task mix of arXiv 2301.10281), so the mix
-//      exercises SUBMIT batching and per-session stepping at once.
-//   3. drain     — outstanding responses are collected; what the server
-//      shed (RETRY_AFTER) is tallied separately from what it answered.
+//   1. capacity  — closed loop: each connection sends its next request
+//      when the previous one is answered; the completion rate is the
+//      measured capacity of this host.
+//   2. overload  — OPEN loop at 2x capacity: every request has a
+//      scheduled arrival time and is sent at that time regardless of how
+//      slow responses are, with latency measured from the SCHEDULED time
+//      — the coordinated-omission-proof number. Stream connections run
+//      concurrently (PPG/ECG/sEMG/KWS-flavored tick waveforms, the
+//      multi-task mix of arXiv 2301.10281), so the mix exercises SUBMIT
+//      batching and per-session stepping at once.
+//   3. shed probe — one connection encodes a burst of several times the
+//      server's advertised in-flight budget into one buffer and writes it
+//      at once, so the budget fills and the rest is shed (RETRY_AFTER).
 //
 // Reports goodput, shed rate, and p50/p99/p99.9 latency into
 // BENCH_frontend.json; scripts/check_bench.py gates that goodput under
@@ -22,8 +26,7 @@
 // control keeps the server useful instead of letting queues eat it.
 //
 //   ./build/loadgen_frontend [--quick] [--connect HOST:PORT]
-//       [--connections N] [--streams N] [--duration SECS] [--rate RPS]
-//       [--out PATH]
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -45,21 +48,26 @@ using bench::now_ms;
 
 namespace {
 
-struct Config {
-  bool quick = false;
-  std::string connect_host;  // empty = in-process front end
-  std::uint16_t connect_port = 0;
-  int submit_conns = 8;
-  int stream_conns = 4;
-  double capacity_secs = 4.0;
-  double overload_secs = 8.0;
-  double rate_override = 0.0;  // 0 = 2x measured capacity
-  double stream_hz = 100.0;    // per-connection step rate
-  std::string out_path = "BENCH_frontend.json";
+/// How many connections drive the load and for how long; --quick
+/// selects the short load.
+struct LoadShape {
+  int submit_conns;
+  int stream_conns;
+  double capacity_secs;
+  double overload_secs;
+  double stream_hz;  // per-connection step rate
 };
+constexpr LoadShape kFullLoad{8, 4, 4.0, 8.0, 100.0};
+constexpr LoadShape kQuickLoad{4, 2, 1.5, 3.0, 50.0};
 
-/// One connection's slice of a phase, merged after the threads join.
-struct SubmitSlice {
+/// Outstanding requests still owed an answer when a connection stops
+/// sending get this long; what is unanswered after it counts against
+/// goodput (that is the point of measuring open-loop).
+constexpr double kDrainMs = 5000.0;
+
+/// One connection's share of a phase, merged after the threads join. A
+/// stream connection counts each answered STEP as completed.
+struct Slice {
   std::uint64_t offered = 0;
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;
@@ -67,6 +75,39 @@ struct SubmitSlice {
   std::vector<double> latencies_ms;       // completed requests
   std::vector<double> shed_latencies_ms;  // RETRY_AFTER round trips
 };
+
+void merge(Slice& into, Slice&& from) {
+  into.offered += from.offered;
+  into.completed += from.completed;
+  into.shed += from.shed;
+  into.errors += from.errors;
+  into.latencies_ms.insert(into.latencies_ms.end(),
+                           from.latencies_ms.begin(),
+                           from.latencies_ms.end());
+  into.shed_latencies_ms.insert(into.shed_latencies_ms.end(),
+                                from.shed_latencies_ms.begin(),
+                                from.shed_latencies_ms.end());
+}
+
+/// Runs `fn(i)` for i in [0, conns) on a thread each and merges the
+/// slices they return.
+template <typename Fn>
+Slice run_connections(int conns, Fn fn) {
+  std::vector<Slice> slices(static_cast<std::size_t>(conns));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < conns; ++i) {
+    threads.emplace_back(
+        [&, i] { slices[static_cast<std::size_t>(i)] = fn(i); });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  Slice all;
+  for (Slice& s : slices) {
+    merge(all, std::move(s));
+  }
+  return all;
+}
 
 /// The four task families of the multi-task TCN mix — distinguishable
 /// waveforms so the server sees realistic, non-constant inputs.
@@ -96,144 +137,141 @@ void fill_window(int family, std::uint64_t seq, float* dst, std::size_t c,
   }
 }
 
-/// Phase 1: closed-loop capacity. Each connection submits back-to-back;
-/// capacity is the aggregate completion rate.
-SubmitSlice run_capacity_conn(const std::string& host, std::uint16_t port,
-                              int family, double end_ms) {
-  SubmitSlice slice;
-  net::BlockingClient client;
-  if (!client.connect(host, port)) {
-    std::fprintf(stderr, "capacity conn: %s\n",
-                 client.last_error().message.c_str());
-    return slice;
-  }
-  const std::size_t c = client.hello().submit_in_channels;
-  const std::size_t t = client.hello().submit_in_steps;
-  std::vector<float> window(c * t);
-  std::vector<float> out;
-  std::uint64_t seq = 0;
-  while (now_ms() < end_ms) {
-    fill_window(family, seq++, window.data(), c, t);
-    const double t0 = now_ms();
-    ++slice.offered;
-    if (client.submit(window.data(), out)) {
-      ++slice.completed;
-      slice.latencies_ms.push_back(now_ms() - t0);
-    } else if (client.last_error().code == net::ErrCode::kRetryAfter) {
-      ++slice.shed;
-      slice.shed_latencies_ms.push_back(now_ms() - t0);
-    } else {
-      ++slice.errors;
-      break;  // transport/protocol failure: this conn is done
-    }
-  }
-  return slice;
-}
+/// When drive_submits sends:
+///   kClosedLoop — the next request once the previous one is answered;
+///   kOpenLoop   — one request every period_ms from start_ms, answered or
+///                 not;
+///   kBurst      — min(max(4 x max_inflight, 64), 4096) requests in one
+///                 write, then only the drain.
+struct SendRule {
+  enum Kind { kClosedLoop, kOpenLoop, kBurst } kind = kClosedLoop;
+  double period_ms = 0.0;
+};
 
-/// Phase 2: open-loop overload. Arrivals follow a fixed schedule;
-/// latency runs from the SCHEDULED send time, so server-side queueing
-/// during a stall is charged to the server, not silently omitted.
-SubmitSlice run_openloop_conn(const std::string& host, std::uint16_t port,
-                              int family, double start_ms, double end_ms,
-                              double period_ms) {
-  SubmitSlice slice;
+/// One connection's SUBMITs under `rule` until `end_ms`, then a drain of
+/// what is still in flight. Latency runs from the scheduled time for the
+/// open loop (server-side queueing during a stall is charged to the
+/// server, not silently omitted) and from the send time otherwise.
+Slice drive_submits(const std::string& host, std::uint16_t port, int family,
+                    SendRule rule, double start_ms, double end_ms) {
+  Slice slice;
   net::BlockingClient client;
   if (!client.connect(host, port)) {
-    std::fprintf(stderr, "overload conn: %s\n",
+    std::fprintf(stderr, "submit conn: %s\n",
                  client.last_error().message.c_str());
+    ++slice.errors;
     return slice;
   }
   const std::size_t c = client.hello().submit_in_channels;
   const std::size_t t = client.hello().submit_in_steps;
+  // A server that advertises no in-flight budget has nothing to probe.
+  const std::uint64_t budget = client.hello().max_inflight;
+  const std::uint64_t burst =
+      rule.kind == SendRule::kBurst && budget > 0
+          ? std::min<std::uint64_t>(std::max<std::uint64_t>(budget * 4, 64),
+                                    4096)
+          : 0;
   std::vector<float> window(c * t);
   std::vector<std::uint8_t> buf;
-  std::unordered_map<std::uint64_t, double> pending;  // req_id -> sched
+  std::unordered_map<std::uint64_t, double> pending;  // req_id -> t0
   std::uint64_t next_id = 1;
   double next_send = start_ms;
   net::ClientConn& conn = client.conn();
 
-  const auto handle_frame = [&](const net::FrameView& frame) {
+  // Encodes `count` SUBMITs into one buffer and writes it at once.
+  const auto send = [&](std::uint64_t count) {
+    buf.clear();
+    const std::uint64_t first = next_id;
+    for (; next_id < first + count; ++next_id) {
+      fill_window(family, next_id, window.data(), c, t);
+      net::encode_submit(buf, next_id, static_cast<std::uint32_t>(c),
+                         static_cast<std::uint32_t>(t), window.data());
+    }
+    const double t0 = rule.kind == SendRule::kOpenLoop ? next_send : now_ms();
+    for (std::uint64_t id = first; id < next_id; ++id) {
+      pending.emplace(id, t0);
+    }
+    slice.offered += count;
+    return conn.send_frames(buf);
+  };
+
+  const auto on_frame = [&](const net::FrameView& frame) {
     net::ErrCode code{};
+    std::uint64_t id = 0;
+    net::ErrCode answer = net::ErrCode::kInternal;
+    bool result = false;
     if (frame.type == net::MsgType::kResult) {
       net::ResultMsg msg;
-      if (net::decode_result(frame.payload, msg, code)) {
-        const auto it = pending.find(msg.req_id);
-        if (it != pending.end()) {
-          ++slice.completed;
-          slice.latencies_ms.push_back(now_ms() - it->second);
-          pending.erase(it);
-        }
+      if (!net::decode_result(frame.payload, msg, code)) {
+        return;
       }
+      id = msg.req_id;
+      result = true;
+    } else if (frame.type == net::MsgType::kError) {
+      net::ErrorMsg msg;
+      if (!net::decode_error(frame.payload, msg, code)) {
+        return;
+      }
+      id = msg.req_id;
+      answer = msg.code;
+    } else {
       return;
     }
-    if (frame.type == net::MsgType::kError) {
-      net::ErrorMsg msg;
-      if (net::decode_error(frame.payload, msg, code)) {
-        const auto it = pending.find(msg.req_id);
-        const double sched = it != pending.end() ? it->second : now_ms();
-        if (it != pending.end()) {
-          pending.erase(it);
-        }
-        if (msg.code == net::ErrCode::kRetryAfter) {
-          ++slice.shed;
-          slice.shed_latencies_ms.push_back(now_ms() - sched);
-        } else {
-          ++slice.errors;
-        }
-      }
+    const auto it = pending.find(id);
+    if (it == pending.end()) {
+      return;  // an id this connection never sent, or already answered
+    }
+    const double ms = now_ms() - it->second;
+    pending.erase(it);
+    if (result) {
+      ++slice.completed;
+      slice.latencies_ms.push_back(ms);
+    } else if (answer == net::ErrCode::kRetryAfter) {
+      ++slice.shed;
+      slice.shed_latencies_ms.push_back(ms);
+    } else {
+      ++slice.errors;
     }
   };
 
+  if (burst > 0 && !send(burst)) {
+    ++slice.errors;
+    return slice;
+  }
   net::FrameView frame;
   while (now_ms() < end_ms) {
-    if (now_ms() >= next_send) {
-      fill_window(family, next_id, window.data(), c, t);
-      buf.clear();
-      net::encode_submit(buf, next_id, static_cast<std::uint32_t>(c),
-                         static_cast<std::uint32_t>(t), window.data());
-      if (!conn.send_frames(buf)) {
+    // The closed loop's period is 0, so only its answer gates a send.
+    if (now_ms() >= next_send &&
+        (rule.kind == SendRule::kOpenLoop || pending.empty())) {
+      if (!send(1)) {
         ++slice.errors;
         return slice;
       }
-      ++slice.offered;
-      pending.emplace(next_id, next_send);  // scheduled, not actual
-      ++next_id;
-      next_send += period_ms;
+      next_send += rule.period_ms;
       continue;  // catch up if behind schedule — open loop never skips
     }
-    while (conn.poll_frame(frame) == net::FrameReader::Status::kFrame) {
-      handle_frame(frame);
-    }
-    const double wait = next_send - now_ms();
-    if (wait > 0.2) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          std::min(wait, 1.0)));
+    const double due =
+        rule.kind == SendRule::kOpenLoop ? next_send : end_ms;
+    const int wait_ms =
+        static_cast<int>(std::clamp(due - now_ms(), 0.0, 100.0));
+    if (conn.recv_frame(frame, wait_ms) == net::FrameReader::Status::kFrame) {
+      on_frame(frame);
     }
   }
-  // Phase 3 (per connection): drain what is still in flight.
-  const double drain_deadline = now_ms() + 2000.0;
+  const double drain_deadline = now_ms() + kDrainMs;
   while (!pending.empty() && now_ms() < drain_deadline) {
-    if (conn.recv_frame(frame, 100) != net::FrameReader::Status::kFrame) {
-      continue;
+    if (conn.recv_frame(frame, 100) == net::FrameReader::Status::kFrame) {
+      on_frame(frame);
     }
-    handle_frame(frame);
   }
-  // Unanswered at the deadline: offered but neither completed nor shed —
-  // they count against goodput (that is the point of measuring open-loop).
   return slice;
 }
 
-struct StreamSlice {
-  std::uint64_t steps = 0;
-  std::uint64_t errors = 0;
-  std::vector<double> latencies_ms;  // step round trips
-};
-
 /// Streaming client: one session, fixed tick rate, runs alongside the
 /// overload phase so the mix is genuinely concurrent.
-StreamSlice run_stream_conn(const std::string& host, std::uint16_t port,
-                            int family, double end_ms, double period_ms) {
-  StreamSlice slice;
+Slice run_stream_conn(const std::string& host, std::uint16_t port,
+                      int family, double end_ms, double period_ms) {
+  Slice slice;
   net::BlockingClient client;
   std::uint32_t handle = 0;
   if (!client.connect(host, port) || !client.open_session(handle)) {
@@ -253,7 +291,7 @@ StreamSlice run_stream_conn(const std::string& host, std::uint16_t port,
       ++slice.errors;
       break;
     }
-    ++slice.steps;
+    ++slice.completed;
     slice.latencies_ms.push_back(now_ms() - t0);
     const double wait = period_ms - (now_ms() - t0);
     if (wait > 0.0) {
@@ -265,141 +303,44 @@ StreamSlice run_stream_conn(const std::string& host, std::uint16_t port,
   return slice;
 }
 
-/// Phase 3: shed probe. One connection bursts several times the server's
-/// advertised in-flight budget as fast as the socket accepts, then
-/// collects every answer. The point is the RETRY_AFTER round-trip time:
-/// admission control is only useful if a shed costs the client
-/// microseconds-to-milliseconds (fast-reject), not a queue-and-timeout.
-SubmitSlice run_shed_probe(const std::string& host, std::uint16_t port) {
-  SubmitSlice slice;
-  net::BlockingClient client;
-  if (!client.connect(host, port)) {
-    std::fprintf(stderr, "shed probe: %s\n",
-                 client.last_error().message.c_str());
-    ++slice.errors;
-    return slice;
+/// HOST:PORT with a port in 1..65535; false on anything else.
+bool parse_host_port(const std::string& hp, std::string& host,
+                     std::uint16_t& port) {
+  const std::size_t colon = hp.rfind(':');
+  if (colon == std::string::npos || colon == 0) {
+    return false;
   }
-  const std::size_t c = client.hello().submit_in_channels;
-  const std::size_t t = client.hello().submit_in_steps;
-  const std::uint64_t budget = client.hello().max_inflight;
-  if (budget == 0) {
-    return slice;  // server advertises no budget; nothing to probe
+  const char* digits = hp.c_str() + colon + 1;
+  char* end = nullptr;
+  const long value = std::strtol(digits, &end, 10);
+  if (end == digits || *end != '\0' || value < 1 || value > 65535) {
+    return false;
   }
-  const std::uint64_t burst =
-      std::min<std::uint64_t>(std::max<std::uint64_t>(budget * 4, 64), 4096);
-  std::vector<float> window(c * t);
-  std::vector<std::uint8_t> buf;
-  std::unordered_map<std::uint64_t, double> sent;  // req_id -> send time
-  net::ClientConn& conn = client.conn();
-  for (std::uint64_t id = 1; id <= burst; ++id) {
-    fill_window(static_cast<int>(id), id, window.data(), c, t);
-    buf.clear();
-    net::encode_submit(buf, id, static_cast<std::uint32_t>(c),
-                       static_cast<std::uint32_t>(t), window.data());
-    sent.emplace(id, now_ms());
-    if (!conn.send_frames(buf)) {
-      ++slice.errors;
-      return slice;
-    }
-    ++slice.offered;
-  }
-  net::FrameView frame;
-  const double deadline = now_ms() + 10000.0;
-  while (!sent.empty() && now_ms() < deadline) {
-    if (conn.recv_frame(frame, 250) != net::FrameReader::Status::kFrame) {
-      continue;
-    }
-    net::ErrCode code{};
-    if (frame.type == net::MsgType::kResult) {
-      net::ResultMsg msg;
-      if (net::decode_result(frame.payload, msg, code)) {
-        const auto it = sent.find(msg.req_id);
-        if (it != sent.end()) {
-          ++slice.completed;
-          slice.latencies_ms.push_back(now_ms() - it->second);
-          sent.erase(it);
-        }
-      }
-    } else if (frame.type == net::MsgType::kError) {
-      net::ErrorMsg msg;
-      if (net::decode_error(frame.payload, msg, code)) {
-        const auto it = sent.find(msg.req_id);
-        if (it == sent.end()) {
-          continue;
-        }
-        if (msg.code == net::ErrCode::kRetryAfter) {
-          ++slice.shed;
-          slice.shed_latencies_ms.push_back(now_ms() - it->second);
-        } else {
-          ++slice.errors;
-        }
-        sent.erase(it);
-      }
-    }
-  }
-  return slice;
-}
-
-void merge(SubmitSlice& into, SubmitSlice&& from) {
-  into.offered += from.offered;
-  into.completed += from.completed;
-  into.shed += from.shed;
-  into.errors += from.errors;
-  into.latencies_ms.insert(into.latencies_ms.end(),
-                           from.latencies_ms.begin(),
-                           from.latencies_ms.end());
-  into.shed_latencies_ms.insert(into.shed_latencies_ms.end(),
-                                from.shed_latencies_ms.begin(),
-                                from.shed_latencies_ms.end());
+  host = hp.substr(0, colon);
+  port = static_cast<std::uint16_t>(value);
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config cfg;
+  bool quick = false;
+  std::string host;  // empty = in-process front end
+  std::uint16_t port = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
     if (arg == "--quick") {
-      cfg.quick = true;
-    } else if (arg == "--connect") {
-      const std::string hp = next();
-      const std::size_t colon = hp.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--connect wants HOST:PORT\n");
-        return 2;
-      }
-      cfg.connect_host = hp.substr(0, colon);
-      cfg.connect_port =
-          static_cast<std::uint16_t>(std::atoi(hp.c_str() + colon + 1));
-    } else if (arg == "--connections") {
-      cfg.submit_conns = std::atoi(next());
-    } else if (arg == "--streams") {
-      cfg.stream_conns = std::atoi(next());
-    } else if (arg == "--duration") {
-      cfg.overload_secs = std::atof(next());
-    } else if (arg == "--rate") {
-      cfg.rate_override = std::atof(next());
-    } else if (arg == "--out") {
-      cfg.out_path = next();
+      quick = true;
+    } else if (arg == "--connect" && i + 1 < argc &&
+               parse_host_port(argv[i + 1], host, port)) {
+      ++i;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--connect HOST:PORT] "
-                   "[--connections N] [--streams N] [--duration SECS] "
-                   "[--rate RPS] [--out PATH]\n",
+      std::fprintf(stderr, "usage: %s [--quick] [--connect HOST:PORT]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (cfg.quick) {
-    cfg.submit_conns = std::min(cfg.submit_conns, 4);
-    cfg.stream_conns = std::min(cfg.stream_conns, 2);
-    cfg.capacity_secs = 1.5;
-    cfg.overload_secs = 3.0;
-    cfg.stream_hz = 50.0;
-  }
+  const LoadShape& load = quick ? kQuickLoad : kFullLoad;
   const unsigned hw_threads = std::thread::hardware_concurrency();
 
   bench::print_header(
@@ -410,8 +351,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<serve::InferenceServer> server;
   std::unique_ptr<serve::SessionManager> sessions;
   std::unique_ptr<net::FrontEnd> frontend;
-  std::string host = cfg.connect_host;
-  std::uint16_t port = cfg.connect_port;
   if (host.empty()) {
     const bench::ServedPlans plans = bench::make_served_temponet_plans();
     serve::ServerOptions sopts;
@@ -435,28 +374,15 @@ int main(int argc, char** argv) {
 
   // ---- phase 1: closed-loop capacity ------------------------------------
   std::printf("phase 1: capacity (%d conns, %.1fs closed-loop)...\n",
-              cfg.submit_conns, cfg.capacity_secs);
-  SubmitSlice capacity;
-  {
-    const double end = now_ms() + cfg.capacity_secs * 1000.0;
-    std::vector<std::thread> threads;
-    std::vector<SubmitSlice> slices(
-        static_cast<std::size_t>(cfg.submit_conns));
-    for (int i = 0; i < cfg.submit_conns; ++i) {
-      threads.emplace_back([&, i] {
-        slices[static_cast<std::size_t>(i)] =
-            run_capacity_conn(host, port, i, end);
-      });
-    }
-    for (std::thread& th : threads) {
-      th.join();
-    }
-    for (SubmitSlice& s : slices) {
-      merge(capacity, std::move(s));
-    }
-  }
+              load.submit_conns, load.capacity_secs);
+  const double cap_start = now_ms();
+  const double cap_end = cap_start + load.capacity_secs * 1000.0;
+  Slice capacity = run_connections(load.submit_conns, [&](int i) {
+    return drive_submits(host, port, i, {SendRule::kClosedLoop}, cap_start,
+                         cap_end);
+  });
   const double capacity_rps =
-      static_cast<double>(capacity.completed) / cfg.capacity_secs;
+      static_cast<double>(capacity.completed) / load.capacity_secs;
   const bench::Percentiles cap_pct = bench::percentiles(capacity.latencies_ms);
   std::printf("  capacity %.0f req/s (p50 %.2f ms, p99 %.2f ms)\n",
               capacity_rps, cap_pct.p50, cap_pct.p99);
@@ -466,57 +392,32 @@ int main(int argc, char** argv) {
   }
 
   // ---- phase 2: open-loop overload + concurrent streams -----------------
-  const double target_rps = cfg.rate_override > 0.0 ? cfg.rate_override
-                                                    : 2.0 * capacity_rps;
+  const double target_rps = 2.0 * capacity_rps;
   const double period_ms =
-      1000.0 * static_cast<double>(cfg.submit_conns) / target_rps;
+      1000.0 * static_cast<double>(load.submit_conns) / target_rps;
   std::printf("phase 2: overload (%.0f req/s open-loop over %d conns, "
               "%d streams @ %.0f Hz, %.1fs)...\n",
-              target_rps, cfg.submit_conns, cfg.stream_conns, cfg.stream_hz,
-              cfg.overload_secs);
-  SubmitSlice overload;
-  StreamSlice stream;
-  {
-    const double start = now_ms() + 50.0;  // common schedule origin
-    const double end = start + cfg.overload_secs * 1000.0;
-    std::vector<std::thread> threads;
-    std::vector<SubmitSlice> slices(
-        static_cast<std::size_t>(cfg.submit_conns));
-    std::vector<StreamSlice> stream_slices(
-        static_cast<std::size_t>(cfg.stream_conns));
-    for (int i = 0; i < cfg.submit_conns; ++i) {
-      // Stagger connection start offsets so arrivals interleave instead
-      // of beating in lockstep.
-      const double offset =
-          period_ms * static_cast<double>(i) /
-          static_cast<double>(cfg.submit_conns);
-      threads.emplace_back([&, i, offset] {
-        slices[static_cast<std::size_t>(i)] = run_openloop_conn(
-            host, port, i, start + offset, end, period_ms);
-      });
-    }
-    for (int i = 0; i < cfg.stream_conns; ++i) {
-      threads.emplace_back([&, i] {
-        stream_slices[static_cast<std::size_t>(i)] = run_stream_conn(
-            host, port, i, end, 1000.0 / cfg.stream_hz);
-      });
-    }
-    for (std::thread& th : threads) {
-      th.join();
-    }
-    for (SubmitSlice& s : slices) {
-      merge(overload, std::move(s));
-    }
-    for (StreamSlice& s : stream_slices) {
-      stream.steps += s.steps;
-      stream.errors += s.errors;
-      stream.latencies_ms.insert(stream.latencies_ms.end(),
-                                 s.latencies_ms.begin(),
-                                 s.latencies_ms.end());
-    }
-  }
+              target_rps, load.submit_conns, load.stream_conns,
+              load.stream_hz, load.overload_secs);
+  const double start = now_ms() + 50.0;  // common schedule origin
+  const double end = start + load.overload_secs * 1000.0;
+  Slice stream;
+  std::thread streams([&] {
+    stream = run_connections(load.stream_conns, [&](int i) {
+      return run_stream_conn(host, port, i, end, 1000.0 / load.stream_hz);
+    });
+  });
+  Slice overload = run_connections(load.submit_conns, [&](int i) {
+    // Stagger connection start offsets so arrivals interleave instead of
+    // beating in lockstep.
+    const double offset = period_ms * static_cast<double>(i) /
+                          static_cast<double>(load.submit_conns);
+    return drive_submits(host, port, i, {SendRule::kOpenLoop, period_ms},
+                         start + offset, end);
+  });
+  streams.join();
   const double goodput_rps =
-      static_cast<double>(overload.completed) / cfg.overload_secs;
+      static_cast<double>(overload.completed) / load.overload_secs;
   const double goodput_over_capacity = goodput_rps / capacity_rps;
   const double shed_rate =
       overload.offered > 0
@@ -543,12 +444,14 @@ int main(int argc, char** argv) {
                 shed_pct.p50, shed_pct.p99);
   }
   std::printf("  streams: %llu steps, p50 %.2f  p99 %.2f  p99.9 %.2f ms\n",
-              static_cast<unsigned long long>(stream.steps), stream_pct.p50,
-              stream_pct.p99, stream_pct.p999);
+              static_cast<unsigned long long>(stream.completed),
+              stream_pct.p50, stream_pct.p99, stream_pct.p999);
 
   // ---- phase 3: shed probe ----------------------------------------------
   std::printf("phase 3: shed probe (burst past the in-flight budget)...\n");
-  SubmitSlice probe = run_shed_probe(host, port);
+  const double probe_start = now_ms();
+  Slice probe = drive_submits(host, port, 0, {SendRule::kBurst}, probe_start,
+                              probe_start);
   const bench::Percentiles probe_shed_pct =
       bench::percentiles(probe.shed_latencies_ms);
   if (probe.shed > 0) {
@@ -570,13 +473,13 @@ int main(int argc, char** argv) {
   }
 
   // ---- JSON ---------------------------------------------------------------
-  FILE* json = bench::open_bench_json(cfg.out_path.c_str());
+  FILE* json = bench::open_bench_json("BENCH_frontend.json");
   if (json == nullptr) {
     return 1;
   }
   std::fprintf(json, "{\n");
   std::fprintf(json, "  \"bench\": \"frontend\",\n");
-  std::fprintf(json, "  \"quick\": %s,\n", cfg.quick ? "true" : "false");
+  std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(json, "  \"mode\": \"%s\",\n",
                frontend ? "inprocess" : "connect");
   std::fprintf(json, "  \"hw_threads\": %u,\n", hw_threads);
@@ -584,8 +487,8 @@ int main(int argc, char** argv) {
                "  \"config\": {\"submit_connections\": %d, "
                "\"stream_connections\": %d, \"capacity_secs\": %.2f, "
                "\"overload_secs\": %.2f, \"stream_hz\": %.1f},\n",
-               cfg.submit_conns, cfg.stream_conns, cfg.capacity_secs,
-               cfg.overload_secs, cfg.stream_hz);
+               load.submit_conns, load.stream_conns, load.capacity_secs,
+               load.overload_secs, load.stream_hz);
   std::fprintf(json,
                "  \"capacity\": {\"completed\": %llu, \"rps\": %.2f, "
                "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"p999_ms\": %.4f},\n",
@@ -617,7 +520,8 @@ int main(int argc, char** argv) {
                "  \"stream\": {\"connections\": %d, \"steps\": %llu, "
                "\"errors\": %llu, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
                "\"p999_ms\": %.4f},\n",
-               cfg.stream_conns, static_cast<unsigned long long>(stream.steps),
+               load.stream_conns,
+               static_cast<unsigned long long>(stream.completed),
                static_cast<unsigned long long>(stream.errors), stream_pct.p50,
                stream_pct.p99, stream_pct.p999);
   std::fprintf(json,
@@ -631,13 +535,16 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(server_stats.exec_errors));
   std::fprintf(json, "}\n");
   std::fclose(json);
-  std::printf("\nwrote %s\n", cfg.out_path.c_str());
+  std::printf("\nwrote BENCH_frontend.json\n");
 
   // Transport errors mean the harness (or server) broke — fail loudly so
   // CI does not gate on a half-measured run.
-  if (overload.errors > 0 || stream.errors > 0 || probe.errors > 0) {
+  if (capacity.errors > 0 || overload.errors > 0 || stream.errors > 0 ||
+      probe.errors > 0) {
     std::fprintf(stderr,
-                 "loadgen saw %llu submit / %llu stream / %llu probe errors\n",
+                 "loadgen saw %llu capacity / %llu overload / %llu stream / "
+                 "%llu probe errors\n",
+                 static_cast<unsigned long long>(capacity.errors),
                  static_cast<unsigned long long>(overload.errors),
                  static_cast<unsigned long long>(stream.errors),
                  static_cast<unsigned long long>(probe.errors));

@@ -382,9 +382,11 @@ void FrontEnd::write_ready(Conn& conn) {
 
 void FrontEnd::flush_writes(Conn& conn) {
   while (conn.out_off < conn.out.size()) {
+    // MSG_NOSIGNAL: a peer that hung up with answers owed must cost only
+    // its own connection (EPIPE below), not the process (SIGPIPE).
     const ssize_t sent =
-        ::write(conn.fd, conn.out.data() + conn.out_off,
-                conn.out.size() - conn.out_off);
+        ::send(conn.fd, conn.out.data() + conn.out_off,
+               conn.out.size() - conn.out_off, MSG_NOSIGNAL);
     if (sent > 0) {
       conn.out_off += static_cast<std::size_t>(sent);
       continue;

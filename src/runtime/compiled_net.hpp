@@ -292,23 +292,13 @@ class ExecutionContext {
   /// Time steps consumed since the last reset (streaming mode).
   std::uint64_t stream_position() const { return stream_t_; }
 
-  /// Idle compaction: releases the batched-forward scratch (the fp32 and
-  /// u8 arenas — forward() carries no state between calls, so nothing is
-  /// lost) back to the memory resource while KEEPING the streaming state:
-  /// ring buffers, per-value step vectors, position, and plan binding all
-  /// survive, so a compacted streaming session resumes its sequence
-  /// untouched. The next forward() simply regrows the arena.
-  void compact() {
-    release(f32_.arena);
-    release(u8_.arena);
-  }
-
   /// Releases every buffer — batch arenas AND streaming state — and
   /// forgets the stream binding (the next step() starts a fresh
   /// sequence). This is the full teardown a pooled-but-cold session slot
   /// uses to hand its bytes back to the allocator cache.
   void release_buffers() {
-    compact();
+    release(f32_.arena);
+    release(u8_.arena);
     release(f32_.ring);
     release(f32_.vecs);
     release(u8_.ring);
@@ -316,16 +306,10 @@ class ExecutionContext {
     reset_stream();
   }
 
-  /// Bytes currently held by the batched-forward arenas (what compact()
-  /// frees). Capacity, not size — this is the malloc footprint.
+  /// Bytes currently held by the batched-forward arenas. Capacity, not
+  /// size — this is the malloc footprint.
   std::size_t batch_arena_bytes() const {
     return f32_.arena.capacity() * sizeof(float) + u8_.arena.capacity();
-  }
-  /// Bytes currently held by the streaming rings and step vectors (what
-  /// survives compact()).
-  std::size_t stream_bytes() const {
-    return (f32_.ring.capacity() + f32_.vecs.capacity()) * sizeof(float) +
-           u8_.ring.capacity() + u8_.vecs.capacity();
   }
 
  private:

@@ -465,29 +465,6 @@ std::size_t SessionManager::evict_idle(std::chrono::milliseconds min_idle) {
   return evicted;
 }
 
-std::size_t SessionManager::compact_idle(std::chrono::milliseconds min_idle) {
-  const auto deadline = std::chrono::steady_clock::now() - min_idle;
-  std::size_t compacted = 0;
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [id, idx] : shard.index_map) {
-      Slot* slot = shard.slots[idx].get();
-      if (slot->last_step.load(std::memory_order_relaxed) > deadline ||
-          !slot->mutex.try_lock()) {
-        continue;  // busy or fresh: skip, never block a step
-      }
-      if (slot->last_step.load(std::memory_order_relaxed) <= deadline &&
-          slot->ctx.batch_arena_bytes() > 0) {
-        slot->ctx.compact();
-        ++compacted;
-      }
-      slot->mutex.unlock();
-    }
-  }
-  return compacted;
-}
-
 void SessionManager::trim(std::size_t target_cached_bytes_per_shard) {
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;

@@ -30,19 +30,19 @@
 // encodes its home shard in the low bits (id = seq << shard_bits |
 // shard), so every lookup goes straight to one shard and never scans or
 // serializes against the rest of the fleet. step_tick resolves its batch
-// grouped by shard (each shard locked once per tick) and idle eviction /
-// compaction are shard-local sweeps — no global lock is ever held across
-// a step. Global limits (max_sessions) and counters are atomics summed
-// over shards, never a bottleneck lock.
+// grouped by shard (each shard locked once per tick) and idle eviction
+// is a shard-local sweep — no global lock is ever held across a step.
+// Global limits (max_sessions) and counters are atomics summed over
+// shards, never a bottleneck lock.
 //
 // MEMORY. Session buffers come from a per-shard size-bucketed caching
 // allocator (session_allocator.hpp) through the ExecutionContext pmr
 // seam: open/close churn recycles ring and scratch blocks inside the
 // shard instead of hitting the global heap, recycled blocks are
 // zero-reset (bit-identical to fresh), and cached blocks are
-// ASan-poisoned. compact_idle() releases idle sessions' batched-forward
-// scratch back to the cache (steps reacquire lazily); trim() releases
-// pooled slots' buffers and shrinks the caches toward a target.
+// ASan-poisoned. A session only ever steps, so it holds its ring
+// buffers and step vectors and nothing else; trim() releases pooled
+// slots' buffers and shrinks the caches toward a target.
 //
 // THREAD SAFETY. All public methods are thread-safe. Each session must be
 // driven by one caller at a time (its sequence order is meaningless
@@ -173,13 +173,6 @@ class SessionManager {
   /// idle_timeout for the configured policy). Shard-local sweeps; never
   /// touches a session mid-step. Returns how many.
   std::size_t evict_idle(std::chrono::milliseconds min_idle);
-
-  /// Releases the batched-forward scratch of every session idle at least
-  /// `min_idle` back to the shard caches (ring buffers and step scratch
-  /// stay — the sequence is untouched and the next step is bit-identical;
-  /// a later batched forward simply reacquires). Returns how many
-  /// sessions shrank.
-  std::size_t compact_idle(std::chrono::milliseconds min_idle);
 
   /// Releases every pooled slot's buffers and trims each shard's
   /// allocator cache to `target_cached_bytes_per_shard` (0 = release

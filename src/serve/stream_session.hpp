@@ -69,11 +69,6 @@ class StreamSession {
   /// Steps consumed since construction or the last reset().
   std::uint64_t position() const { return ctx_.stream_position(); }
 
-  /// Releases batched-forward scratch back to the allocator (the ring
-  /// history stays — the next step() is bit-identical; a later batched
-  /// forward through the same context simply reacquires).
-  void compact() { ctx_.compact(); }
-
   const runtime::CompiledPlan& plan() const { return *plan_; }
 
  private:

@@ -460,3 +460,36 @@ TEST(FrontEnd, ConnectionCapClosesExcessClients) {
   EXPECT_TRUE(first.ping());
   frontend.stop();
 }
+
+TEST(FrontEnd, ClientThatHangsUpWithAnswersOwedDoesNotKillTheServer) {
+  serve::InferenceServer server(plans().submit, small_server_options());
+  net::FrontEnd frontend(&server, nullptr);
+  frontend.start();
+
+  // Each round pipelines 3.2 MB of PINGs, more than the socket buffers
+  // hold, so the client is still sending while the server reads and
+  // answers, and its reset lands between a server read and the write of
+  // its PONGs (on one core too). That write must fail with EPIPE and close
+  // only this connection; a SIGPIPE would end the process.
+  constexpr int kRounds = 30;
+  constexpr int kPings = 200000;
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < kPings; ++i) {
+    net::encode_ping(burst, static_cast<std::uint64_t>(i + 1));
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    net::BlockingClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+    ASSERT_TRUE(client.conn().send_frames(burst));
+    const linger reset{1, 0};  // close() sends RST, not FIN
+    ASSERT_EQ(::setsockopt(client.conn().fd(), SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
+              0);
+    client.conn().close();
+  }
+
+  net::BlockingClient fresh;
+  ASSERT_TRUE(fresh.connect("127.0.0.1", frontend.port()));
+  EXPECT_TRUE(fresh.ping());
+  frontend.stop();
+}

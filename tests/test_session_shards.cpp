@@ -1,12 +1,12 @@
 // Sharded SessionManager: model-checked concurrency. Eight threads drive
 // seeded, deterministic schedules of open/step/tick/close (plus chaos
-// evict_idle and compact_idle sweeps) against one manager; every output
-// is recorded and then replayed single-threaded against StreamSession
-// reference models — the fleet must be bit-identical to the model no
-// matter how the interleaving fell. Also pinned here: id = seq<<bits |
-// shard encoding, ids never reused, per-shard stats sum to the global
-// snapshot, and the evict-vs-step race on one slot (the last_step
-// memory-order contract) is TSan-clean.
+// evict_idle sweeps) against one manager; every output is recorded and
+// then replayed single-threaded against StreamSession reference models —
+// the fleet must be bit-identical to the model no matter how the
+// interleaving fell. Also pinned here: id = seq<<bits | shard encoding,
+// ids never reused, per-shard stats sum to the global snapshot, and the
+// evict-vs-step race on one slot (the last_step memory-order contract)
+// is TSan-clean.
 //
 // PIT_SOAK=1 additionally runs the 100k-session churn hammer with an
 // allocator-leak check (wired into the ASan/TSan CI jobs).
@@ -155,9 +155,8 @@ TEST(SessionShards, CompactIdleKeepsSequencesBitIdentical) {
   float want[4];
   for (std::uint64_t t = 0; t < 30; ++t) {
     if (t == 15) {
-      // Mid-sequence compaction must be invisible to the outputs: only
-      // batched-forward scratch is dropped, never the ring history.
-      manager.compact_idle(std::chrono::milliseconds(0));
+      // A mid-sequence trim must be invisible to the outputs: only pooled
+      // slots and cached blocks are released, never a live ring history.
       manager.trim(0);
     }
     fill_input(9, t, in, 4);
@@ -179,7 +178,7 @@ struct SequenceLog {
 /// The model-checked hammer: each thread executes a seeded schedule of
 /// open/step/tick/close on ITS OWN sessions (one driver per session, per
 /// the API contract) while chaos sweeps (evict_idle with an hours-long
-/// deadline, compact_idle) from every thread rake the shared shards.
+/// deadline) from every thread rake the shared shards.
 /// Nothing in the schedule depends on the interleaving, so the replay
 /// below must reproduce every recorded output bit-for-bit.
 TEST(SessionShardsConcurrency, ModelCheckedInterleavingsMatchReference) {
@@ -253,13 +252,11 @@ TEST(SessionShardsConcurrency, ModelCheckedInterleavingsMatchReference) {
           const std::size_t victim = next_rand(state) % live.size();
           manager.close(live[victim].id);
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-        } else if (roll < 95) {
+        } else {
           // Chaos sweep: the deadline is hours away, so it must evict
           // nothing — it exists to interleave the sweep's locking with
           // everyone's steps.
           manager.evict_idle(std::chrono::hours(1));
-        } else {
-          manager.compact_idle(std::chrono::milliseconds(0));
         }
       }
       for (const Live& s : live) {
