@@ -186,29 +186,42 @@ int main(int argc, char** argv) {
   // Warm-up pass (thread pool spin-up, arena growth, page faults).
   drive_direct(plan, 200, batched_samples);
 
-  // One direct pass runs before each server policy and one after the
-  // last; its rate moves with whatever ran just before it, so the median
-  // pass is the direct_single row (and the speedup's denominator).
+  // Every policy runs kPasses times, round-robin, with one direct pass
+  // before each server pass and one after the last. A single pass moves
+  // with whatever ran just before it (server_t4_b16 has read 60k-126k
+  // req/s on a 4-vCPU host), so each row is its policy's median pass; the
+  // direct_single median is also the speedup's denominator.
+  constexpr int kPasses = 5;
   std::vector<Row> direct;
-  std::vector<Row> rows;
+  std::vector<std::vector<Row>> passes;
   serve::ServerOptions options;
-  for (const int threads : {1, pool_threads}) {
-    for (const index_t batch : {index_t{1}, max_batch}) {
-      direct.push_back(drive_direct(plan, requests, batched_samples));
-      options.threads = threads;
-      options.max_batch = batch;
-      const std::string policy = std::string("server_t") +
-                                 std::to_string(threads) + "_b" +
-                                 std::to_string(batch);
-      rows.push_back(drive_server(plan, options, clients, per_client,
-                                  flat_samples, policy));
+  for (int pass = 0; pass < kPasses; ++pass) {
+    std::size_t policy_index = 0;
+    for (const int threads : {1, pool_threads}) {
+      for (const index_t batch : {index_t{1}, max_batch}) {
+        direct.push_back(drive_direct(plan, requests, batched_samples));
+        options.threads = threads;
+        options.max_batch = batch;
+        const std::string policy = std::string("server_t") +
+                                   std::to_string(threads) + "_b" +
+                                   std::to_string(batch);
+        if (passes.size() <= policy_index) {
+          passes.emplace_back();
+        }
+        passes[policy_index++].push_back(drive_server(
+            plan, options, clients, per_client, flat_samples, policy));
+      }
     }
   }
   direct.push_back(drive_direct(plan, requests, batched_samples));
-  std::sort(direct.begin(), direct.end(), [](const Row& a, const Row& b) {
-    return a.throughput_rps() < b.throughput_rps();
-  });
-  rows.insert(rows.begin(), direct[direct.size() / 2]);
+  passes.insert(passes.begin(), std::move(direct));
+  std::vector<Row> rows;
+  for (std::vector<Row>& runs : passes) {
+    std::sort(runs.begin(), runs.end(), [](const Row& a, const Row& b) {
+      return a.throughput_rps() < b.throughput_rps();
+    });
+    rows.push_back(runs[runs.size() / 2]);
+  }
   for (const Row& row : rows) {
     std::printf("%-18s %7d %9lld %7d %9.0f/s %8.3f %8.3f %10.2f\n",
                 row.policy.c_str(), row.threads,
@@ -216,11 +229,14 @@ int main(int argc, char** argv) {
                 row.throughput_rps(), row.p50_ms, row.p99_ms,
                 row.mean_batch);
   }
-  std::printf("direct_single passes (req/s, sorted):");
-  for (const Row& pass : direct) {
-    std::printf(" %.0f", pass.throughput_rps());
+  std::printf("\npasses per policy (req/s, sorted; each row is the median):\n");
+  for (const std::vector<Row>& runs : passes) {
+    std::printf("%-18s", runs.front().policy.c_str());
+    for (const Row& pass : runs) {
+      std::printf(" %.0f", pass.throughput_rps());
+    }
+    std::printf("\n");
   }
-  std::printf("\n");
 
   // Acceptance: best batched multi-threaded policy vs single-thread
   // single-request serving (the direct loop — the PR-2 status quo; the

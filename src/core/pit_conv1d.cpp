@@ -8,6 +8,7 @@
 #include "tensor/autograd.hpp"
 #include "tensor/error.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/parallel.hpp"
 
 namespace pit::core {
 
@@ -39,12 +40,14 @@ Tensor masked_causal_conv1d(const Tensor& x, const Tensor& weight,
 
   // Effective weights W ⊙ M (mask broadcast over channel pairs). Saved for
   // the backward input pass.
-  Tensor weff = Tensor::zeros(weight.shape());
+  Tensor weff = Tensor::empty(weight.shape());
   {
     const float* wd = weight.data();
     const float* md = mask.data();
     float* ed = weff.data();
     const index_t pairs = dims.c_out * dims.c_in;
+#pragma omp parallel for schedule(static) \
+    if (pairs * dims.k >= kParallelMinWork)
     for (index_t p = 0; p < pairs; ++p) {
       for (index_t i = 0; i < dims.k; ++i) {
         ed[p * dims.k + i] = wd[p * dims.k + i] * md[i];
@@ -89,8 +92,10 @@ Tensor masked_causal_conv1d(const Tensor& x, const Tensor& weight,
           const float* wd = tw.data();
           const float* md = tm.data();
           const index_t pairs = dims.c_out * dims.c_in;
+          const bool parallel = pairs * dims.k >= kParallelMinWork;
           if (w_needs) {
-            auto wg = grad_span(*tw.impl());
+            float* wg = grad_span(*tw.impl()).data();
+#pragma omp parallel for schedule(static) if (parallel)
             for (index_t p = 0; p < pairs; ++p) {
               for (index_t i = 0; i < dims.k; ++i) {
                 wg[p * dims.k + i] +=
@@ -99,7 +104,9 @@ Tensor masked_causal_conv1d(const Tensor& x, const Tensor& weight,
             }
           }
           if (m_needs) {
-            auto mg = grad_span(*tm.impl());
+            // One serial reduction over pairs per tap; taps split.
+            float* mg = grad_span(*tm.impl()).data();
+#pragma omp parallel for schedule(static) if (parallel)
             for (index_t i = 0; i < dims.k; ++i) {
               float acc = 0.0F;
               for (index_t p = 0; p < pairs; ++p) {

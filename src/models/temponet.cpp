@@ -81,7 +81,7 @@ Tensor TempoNet::forward(const Tensor& input) {
                                       << config_.input_length << "), got "
                                       << input.shape().to_string());
   auto conv_bn_relu = [this](const Tensor& x, std::size_t i) {
-    return relu(norms_[i]->forward(convs_[i]->forward(x)));
+    return norms_[i]->forward_relu(convs_[i]->forward(x));
   };
   Tensor x = input;
   // Block 1: three convs then pool.

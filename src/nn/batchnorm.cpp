@@ -5,6 +5,7 @@
 
 #include "tensor/autograd.hpp"
 #include "tensor/error.hpp"
+#include "tensor/parallel.hpp"
 
 namespace pit::nn {
 
@@ -20,6 +21,14 @@ BatchNorm1d::BatchNorm1d(index_t num_features, float eps, float momentum)
 }
 
 Tensor BatchNorm1d::forward(const Tensor& input) {
+  return forward_impl(input, false);
+}
+
+Tensor BatchNorm1d::forward_relu(const Tensor& input) {
+  return forward_impl(input, true);
+}
+
+Tensor BatchNorm1d::forward_impl(const Tensor& input, bool fuse_relu) {
   PIT_CHECK(input.rank() == 2 || input.rank() == 3,
             "BatchNorm1d: input must be (N, C) or (N, C, T), got "
                 << input.shape().to_string());
@@ -30,69 +39,65 @@ Tensor BatchNorm1d::forward(const Tensor& input) {
   const index_t c = input.dim(1);
   const index_t t = input.rank() == 3 ? input.dim(2) : 1;
   const index_t m = n * t;  // samples per channel
-  PIT_CHECK(!is_training() || m > 1,
+  const bool training = is_training();
+  PIT_CHECK(!training || m > 1,
             "BatchNorm1d: training needs more than one sample per channel");
 
-  // Per-channel mean/var used for this pass.
+  // Per-channel mean/var used for this pass (kept for backward).
   std::vector<float> mu(static_cast<std::size_t>(c));
-  std::vector<float> var(static_cast<std::size_t>(c));
+  std::vector<float> inv_std(static_cast<std::size_t>(c));
+  Tensor out = Tensor::empty(input.shape());
   const float* xd = input.data();
-  auto x_at = [&](index_t ni, index_t ci, index_t ti) {
-    return xd[(ni * c + ci) * t + ti];
-  };
-  if (is_training()) {
-    for (index_t ci = 0; ci < c; ++ci) {
+  float* od = out.data();
+  const float* gd = gamma_.data();
+  const float* bd = beta_.data();
+  float* rm = running_mean_.data();
+  float* rv = running_var_.data();
+
+  // One channel per iteration: its statistics (double accumulators in
+  // serial (n, t) order), running-statistic update and normalization.
+#pragma omp parallel for schedule(static) if (n * c * t >= kParallelMinWork)
+  for (index_t ci = 0; ci < c; ++ci) {
+    float var = 0.0F;
+    if (training) {
       double acc = 0.0;
       for (index_t ni = 0; ni < n; ++ni) {
+        const float* xrow = xd + (ni * c + ci) * t;
         for (index_t ti = 0; ti < t; ++ti) {
-          acc += x_at(ni, ci, ti);
+          acc += xrow[ti];
         }
       }
       mu[ci] = static_cast<float>(acc / static_cast<double>(m));
       double vacc = 0.0;
       for (index_t ni = 0; ni < n; ++ni) {
+        const float* xrow = xd + (ni * c + ci) * t;
         for (index_t ti = 0; ti < t; ++ti) {
-          const double dlt = x_at(ni, ci, ti) - mu[ci];
+          const double dlt = xrow[ti] - mu[ci];
           vacc += dlt * dlt;
         }
       }
-      var[ci] = static_cast<float>(vacc / static_cast<double>(m));
-    }
-    // Update running statistics (unbiased variance, as in PyTorch).
-    Tensor rm = running_mean_;
-    Tensor rv = running_var_;
-    for (index_t ci = 0; ci < c; ++ci) {
-      rm.data()[ci] = (1.0F - momentum_) * rm.data()[ci] + momentum_ * mu[ci];
+      var = static_cast<float>(vacc / static_cast<double>(m));
+      // Update running statistics (unbiased variance, as in PyTorch).
+      rm[ci] = (1.0F - momentum_) * rm[ci] + momentum_ * mu[ci];
       const float unbiased =
-          m > 1 ? var[ci] * static_cast<float>(m) / static_cast<float>(m - 1)
-                : var[ci];
-      rv.data()[ci] = (1.0F - momentum_) * rv.data()[ci] + momentum_ * unbiased;
+          m > 1 ? var * static_cast<float>(m) / static_cast<float>(m - 1)
+                : var;
+      rv[ci] = (1.0F - momentum_) * rv[ci] + momentum_ * unbiased;
+    } else {
+      mu[ci] = rm[ci];
+      var = rv[ci];
     }
-  } else {
-    for (index_t ci = 0; ci < c; ++ci) {
-      mu[ci] = running_mean_.data()[ci];
-      var[ci] = running_var_.data()[ci];
-    }
-  }
+    inv_std[ci] = 1.0F / std::sqrt(var + eps_);
 
-  std::vector<float> inv_std(static_cast<std::size_t>(c));
-  for (index_t ci = 0; ci < c; ++ci) {
-    inv_std[ci] = 1.0F / std::sqrt(var[ci] + eps_);
-  }
-
-  Tensor out = Tensor::zeros(input.shape());
-  float* od = out.data();
-  const float* gd = gamma_.data();
-  const float* bd = beta_.data();
-  for (index_t ni = 0; ni < n; ++ni) {
-    for (index_t ci = 0; ci < c; ++ci) {
-      const float g = gd[ci];
-      const float b = bd[ci];
-      const float mean_c = mu[ci];
-      const float is = inv_std[ci];
+    const float g = gd[ci];
+    const float b = bd[ci];
+    const float mean_c = mu[ci];
+    const float is = inv_std[ci];
+    for (index_t ni = 0; ni < n; ++ni) {
+      const index_t row = (ni * c + ci) * t;
       for (index_t ti = 0; ti < t; ++ti) {
-        const index_t idx = (ni * c + ci) * t + ti;
-        od[idx] = g * (xd[idx] - mean_c) * is + b;
+        const float y = g * (xd[row + ti] - mean_c) * is + b;
+        od[row + ti] = fuse_relu && !(y > 0.0F) ? 0.0F : y;
       }
     }
   }
@@ -100,11 +105,15 @@ Tensor BatchNorm1d::forward(const Tensor& input) {
   const Tensor tx = input;
   const Tensor tg = gamma_;
   const Tensor tb = beta_;
-  const bool training = is_training();
+  // The closure reads the output (for the fused ReLU's mask) through the
+  // node's own impl, never by capture: see unary_op in tensor/ops.cpp.
   return make_op_output(
-      std::move(out), {input, gamma_, beta_}, "batchnorm1d",
-      [tx, tg, tb, mu, inv_std, n, c, t, m, training](TensorImpl& o) {
+      std::move(out), {input, gamma_, beta_},
+      fuse_relu ? "batchnorm1d_relu" : "batchnorm1d",
+      [tx, tg, tb, mu, inv_std, n, c, t, m, training,
+       fuse_relu](TensorImpl& o) {
         const float* dy = o.grad.data();
+        const float* yd = o.data.data();
         const float* xd2 = tx.data();
         const float* gd2 = tg.data();
         const bool x_needs =
@@ -113,7 +122,16 @@ Tensor BatchNorm1d::forward(const Tensor& input) {
             tg.impl()->requires_grad || tg.impl()->grad_fn != nullptr;
         const bool b_needs =
             tb.impl()->requires_grad || tb.impl()->grad_fn != nullptr;
+        // Gradient buffers are allocated here, before the threads fork.
+        float* gg = g_needs ? grad_span(*tg.impl()).data() : nullptr;
+        float* bg = b_needs ? grad_span(*tb.impl()).data() : nullptr;
+        float* xg = x_needs ? grad_span(*tx.impl()).data() : nullptr;
+        // The ReLU's gradient is dy where the output is positive, else 0.
+        auto dy_at = [dy, yd, fuse_relu](index_t idx) {
+          return fuse_relu && !(yd[idx] > 0.0F) ? 0.0F : dy[idx];
+        };
 
+#pragma omp parallel for schedule(static) if (n * c * t >= kParallelMinWork)
         for (index_t ci = 0; ci < c; ++ci) {
           const float mean_c = mu[ci];
           const float is = inv_std[ci];
@@ -124,34 +142,33 @@ Tensor BatchNorm1d::forward(const Tensor& input) {
             for (index_t ti = 0; ti < t; ++ti) {
               const index_t idx = (ni * c + ci) * t + ti;
               const float xhat = (xd2[idx] - mean_c) * is;
-              sum_dy += dy[idx];
-              sum_dy_xhat += dy[idx] * xhat;
+              const float d = dy_at(idx);
+              sum_dy += d;
+              sum_dy_xhat += d * xhat;
             }
           }
-          if (g_needs) {
-            grad_span(*tg.impl())[static_cast<std::size_t>(ci)] +=
-                static_cast<float>(sum_dy_xhat);
+          if (gg != nullptr) {
+            gg[ci] += static_cast<float>(sum_dy_xhat);
           }
-          if (b_needs) {
-            grad_span(*tb.impl())[static_cast<std::size_t>(ci)] +=
-                static_cast<float>(sum_dy);
+          if (bg != nullptr) {
+            bg[ci] += static_cast<float>(sum_dy);
           }
-          if (x_needs) {
-            auto xg = grad_span(*tx.impl());
+          if (xg != nullptr) {
             const float g = gd2[ci];
             const auto mf = static_cast<float>(m);
             for (index_t ni = 0; ni < n; ++ni) {
               for (index_t ti = 0; ti < t; ++ti) {
                 const index_t idx = (ni * c + ci) * t + ti;
                 const float xhat = (xd2[idx] - mean_c) * is;
+                const float d = dy_at(idx);
                 if (training) {
                   // Full batch-norm backward (batch statistics depend on x).
                   xg[idx] += g * is / mf *
-                             (mf * dy[idx] - static_cast<float>(sum_dy) -
+                             (mf * d - static_cast<float>(sum_dy) -
                               xhat * static_cast<float>(sum_dy_xhat));
                 } else {
                   // Eval mode: statistics are constants.
-                  xg[idx] += g * is * dy[idx];
+                  xg[idx] += g * is * d;
                 }
               }
             }

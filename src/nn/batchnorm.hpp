@@ -13,6 +13,9 @@ class BatchNorm1d : public Module {
                        float momentum = 0.1F);
 
   Tensor forward(const Tensor& input) override;
+  /// relu(forward(input)) as one autograd op: the same values and
+  /// gradients bit for bit, without the ReLU's node and buffers.
+  Tensor forward_relu(const Tensor& input);
 
   index_t num_features() const { return num_features_; }
   float eps() const { return eps_; }
@@ -23,6 +26,8 @@ class BatchNorm1d : public Module {
   Tensor running_var() const { return running_var_; }
 
  private:
+  Tensor forward_impl(const Tensor& input, bool fuse_relu);
+
   index_t num_features_;
   float eps_;
   float momentum_;

@@ -118,8 +118,6 @@ KernelFootprint Registry::conv_packed_i8_footprint(const ConvSig& sig,
   return {kQuantCiGroup * (sig.k - 1) * dilation, 0, 0};
 }
 
-KernelFootprint Registry::exact_footprint() { return {}; }
-
 void Registry::add_conv_packed_f32(ConvPackedF32Fn fn, const char* variant,
                                    const char* isa, index_t k,
                                    bool quad_cin) {

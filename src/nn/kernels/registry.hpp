@@ -272,10 +272,6 @@ class Registry {
   /// time loop clamps its tile, so no tail overread. Bytes.
   static KernelFootprint conv_packed_i8_footprint(const ConvSig& sig,
                                                   index_t dilation);
-  /// Streaming step kernels (fp32 and i8) index exactly within their
-  /// (k-1)*dilation+1-slot ring span; the dense fp32 linear, the i8 add,
-  /// and the i8 staging kernel touch exactly their operand extents.
-  static KernelFootprint exact_footprint();
 
   // ---- registration (blocked.cpp / quant.cpp, construction only) -------
   void add_conv_packed_f32(ConvPackedF32Fn fn, const char* variant,

@@ -4,6 +4,7 @@
 
 #include "tensor/autograd.hpp"
 #include "tensor/error.hpp"
+#include "tensor/parallel.hpp"
 
 namespace pit::nn {
 
@@ -23,20 +24,23 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
               "linear: bias shape " << bias.shape().to_string());
   }
 
-  Tensor out = Tensor::zeros(Shape{n, o});
+  Tensor out = Tensor::empty(Shape{n, o});
   const float* xd = x.data();
   const float* wd = weight.data();
+  const float* bd = bias.defined() ? bias.data() : nullptr;
   float* od = out.data();
+  // Every (i, j) output is its own serial dot product.
+#pragma omp parallel for collapse(2) schedule(static) \
+    if (n * o * f >= kParallelMinWork)
   for (index_t i = 0; i < n; ++i) {
-    const float* xrow = xd + i * f;
-    float* orow = od + i * o;
     for (index_t j = 0; j < o; ++j) {
+      const float* xrow = xd + i * f;
       const float* wrow = wd + j * f;
-      float acc = bias.defined() ? bias.data()[j] : 0.0F;
+      float acc = bd != nullptr ? bd[j] : 0.0F;
       for (index_t p = 0; p < f; ++p) {
         acc += xrow[p] * wrow[p];
       }
-      orow[j] = acc;
+      od[i * o + j] = acc;
     }
   }
 
@@ -52,12 +56,14 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
         const float* dy = out_impl.grad.data();
         const float* xd2 = tx.data();
         const float* wd2 = tw.data();
+        const bool parallel = n * o * f >= kParallelMinWork;
         if (tx.impl()->requires_grad || tx.impl()->grad_fn != nullptr) {
-          auto xg = grad_span(*tx.impl());
-          // dX = dY @ W : (n,o) @ (o,f)
+          float* xg = grad_span(*tx.impl()).data();
+          // dX = dY @ W : (n,o) @ (o,f), split over rows of dX.
+#pragma omp parallel for schedule(static) if (parallel)
           for (index_t i = 0; i < n; ++i) {
             const float* dyrow = dy + i * o;
-            float* xgrow = xg.data() + i * f;
+            float* xgrow = xg + i * f;
             for (index_t j = 0; j < o; ++j) {
               const float g = dyrow[j];
               if (g == 0.0F) {
@@ -71,17 +77,18 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
           }
         }
         if (tw.impl()->requires_grad || tw.impl()->grad_fn != nullptr) {
-          auto wg = grad_span(*tw.impl());
-          // dW = dY^T @ X : (o,n) @ (n,f)
-          for (index_t i = 0; i < n; ++i) {
-            const float* dyrow = dy + i * o;
-            const float* xrow = xd2 + i * f;
-            for (index_t j = 0; j < o; ++j) {
-              const float g = dyrow[j];
+          float* wg = grad_span(*tw.impl()).data();
+          // dW = dY^T @ X : (o,n) @ (n,f), split over rows j of dW; each
+          // element still accumulates over i in increasing order.
+#pragma omp parallel for schedule(static) if (parallel)
+          for (index_t j = 0; j < o; ++j) {
+            float* wgrow = wg + j * f;
+            for (index_t i = 0; i < n; ++i) {
+              const float g = dy[i * o + j];
               if (g == 0.0F) {
                 continue;
               }
-              float* wgrow = wg.data() + j * f;
+              const float* xrow = xd2 + i * f;
               for (index_t p = 0; p < f; ++p) {
                 wgrow[p] += g * xrow[p];
               }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tensor/error.hpp"
+#include "tensor/parallel.hpp"
 
 namespace pit::nn {
 
@@ -79,6 +80,9 @@ void Adam::step() {
       m.assign(pv.size(), 0.0F);
       v.assign(pv.size(), 0.0F);
     }
+    // Elements update independently: split them.
+#pragma omp parallel for schedule(static) \
+    if (static_cast<index_t>(pv.size()) >= kParallelMinWork)
     for (std::size_t j = 0; j < pv.size(); ++j) {
       const double grad = g[j];
       m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * grad);

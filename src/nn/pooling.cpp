@@ -2,6 +2,7 @@
 
 #include "tensor/autograd.hpp"
 #include "tensor/error.hpp"
+#include "tensor/parallel.hpp"
 
 namespace pit::nn {
 
@@ -17,21 +18,21 @@ Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
   PIT_CHECK(t_in >= kernel, "avg_pool1d: T=" << t_in << " < kernel=" << kernel);
   const index_t t_out = (t_in - kernel) / stride + 1;
 
-  Tensor out = Tensor::zeros(Shape{n, c, t_out});
+  Tensor out = Tensor::empty(Shape{n, c, t_out});
   const float* xd = x.data();
   float* od = out.data();
   const float inv_k = 1.0F / static_cast<float>(kernel);
-  for (index_t ni = 0; ni < n; ++ni) {
-    for (index_t ci = 0; ci < c; ++ci) {
-      const float* xrow = xd + (ni * c + ci) * t_in;
-      float* orow = od + (ni * c + ci) * t_out;
-      for (index_t to = 0; to < t_out; ++to) {
-        float acc = 0.0F;
-        for (index_t k = 0; k < kernel; ++k) {
-          acc += xrow[to * stride + k];
-        }
-        orow[to] = acc * inv_k;
+  // Rows (one (n, c) pair each) are independent: split them.
+#pragma omp parallel for schedule(static) if (n * c * t_in >= kParallelMinWork)
+  for (index_t row = 0; row < n * c; ++row) {
+    const float* xrow = xd + row * t_in;
+    float* orow = od + row * t_out;
+    for (index_t to = 0; to < t_out; ++to) {
+      float acc = 0.0F;
+      for (index_t k = 0; k < kernel; ++k) {
+        acc += xrow[to * stride + k];
       }
+      orow[to] = acc * inv_k;
     }
   }
 
@@ -42,18 +43,17 @@ Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
         if (!(tx.impl()->requires_grad || tx.impl()->grad_fn != nullptr)) {
           return;
         }
-        auto xg = grad_span(*tx.impl());
+        float* xg = grad_span(*tx.impl()).data();
         const float inv_k = 1.0F / static_cast<float>(kernel);
         const float* dy = o.grad.data();
-        for (index_t ni = 0; ni < n; ++ni) {
-          for (index_t ci = 0; ci < c; ++ci) {
-            float* xgrow = xg.data() + (ni * c + ci) * t_in;
-            const float* dyrow = dy + (ni * c + ci) * t_out;
-            for (index_t to = 0; to < t_out; ++to) {
-              const float g = dyrow[to] * inv_k;
-              for (index_t k = 0; k < kernel; ++k) {
-                xgrow[to * stride + k] += g;
-              }
+#pragma omp parallel for schedule(static) if (n * c * t_in >= kParallelMinWork)
+        for (index_t row = 0; row < n * c; ++row) {
+          float* xgrow = xg + row * t_in;
+          const float* dyrow = dy + row * t_out;
+          for (index_t to = 0; to < t_out; ++to) {
+            const float g = dyrow[to] * inv_k;
+            for (index_t k = 0; k < kernel; ++k) {
+              xgrow[to * stride + k] += g;
             }
           }
         }

@@ -5,6 +5,7 @@
 
 #include "tensor/autograd.hpp"
 #include "tensor/error.hpp"
+#include "tensor/parallel.hpp"
 
 namespace pit {
 
@@ -21,27 +22,34 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 }
 
 /// Shared skeleton for unary ops: out[i] = f(a[i]),
-/// da[i] += dout[i] * dfdx(a[i], out[i]).
+/// da[i] += dout[i] * dfdx(a[i], out[i]). Backward reads the output
+/// through the node's own impl: capturing it in the closure would make a
+/// cycle (impl -> grad_fn -> closure -> impl) that leaks every graph that
+/// is built but never backwarded.
 template <typename Fwd, typename Bwd>
 Tensor unary_op(const Tensor& a, const char* name, Fwd fwd, Bwd dfdx) {
-  Tensor out = Tensor::zeros(a.shape());
-  const auto av = a.span();
-  auto ov = out.span();
-  for (std::size_t i = 0; i < av.size(); ++i) {
-    ov[i] = fwd(av[i]);
+  Tensor out = Tensor::empty(a.shape());
+  const float* ad = a.data();
+  float* od = out.data();
+  const index_t numel = a.numel();
+#pragma omp parallel for schedule(static) if (numel >= kParallelMinWork)
+  for (index_t i = 0; i < numel; ++i) {
+    od[i] = fwd(ad[i]);
   }
   const Tensor ta = a;
-  const Tensor tout = out;
   return make_op_output(
-      std::move(out), {a}, name, [ta, tout, dfdx](TensorImpl& o) {
+      std::move(out), {a}, name, [ta, dfdx](TensorImpl& o) {
         if (!wants_grad(*ta.impl())) {
           return;
         }
-        auto ag = grad_span(*ta.impl());
-        const auto av2 = ta.span();
-        const auto ov2 = tout.span();
-        for (std::size_t i = 0; i < ag.size(); ++i) {
-          ag[i] += o.grad[i] * dfdx(av2[i], ov2[i]);
+        float* ag = grad_span(*ta.impl()).data();
+        const float* ad2 = ta.data();
+        const float* od2 = o.data.data();
+        const float* dy = o.grad.data();
+        const index_t numel2 = ta.numel();
+#pragma omp parallel for schedule(static) if (numel2 >= kParallelMinWork)
+        for (index_t i = 0; i < numel2; ++i) {
+          ag[i] += dy[i] * dfdx(ad2[i], od2[i]);
         }
       });
 }

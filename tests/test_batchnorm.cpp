@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "tensor/error.hpp"
 #include "tensor/gradcheck.hpp"
@@ -110,6 +112,104 @@ TEST(BatchNorm, GradcheckEvalMode) {
   const auto result = gradcheck(
       [&bn](const std::vector<Tensor>& in) { return bn.forward(in[0]); }, {x});
   EXPECT_TRUE(result.ok) << result.detail;
+}
+
+// ---- fused BatchNorm + ReLU ---------------------------------------------
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+/// Values and every gradient of one BatchNorm pass: relu(bn(x)) as two ops
+/// or bn.forward_relu(x) as one, from identical modules and inputs.
+struct BnRun {
+  Tensor y, dx, dgamma, dbeta, running_mean, running_var;
+};
+
+BnRun run_bn(bool fused, bool training, const Shape& shape) {
+  BatchNorm1d bn(shape.dim(1));
+  RandomEngine rng(109);
+  for (float& g : bn.gamma().span()) {
+    g = static_cast<float>(rng.uniform(0.5, 1.5));
+  }
+  for (float& b : bn.beta().span()) {
+    b = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+  for (float& m : bn.running_mean().span()) {
+    m = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+  if (!training) {
+    bn.eval();
+  }
+  Tensor x = Tensor::uniform(shape, -2.0F, 2.0F, rng);
+  x.set_requires_grad(true);
+  // A non-uniform upstream gradient, so every element's dy matters.
+  const Tensor w = Tensor::uniform(shape, -1.0F, 1.0F, rng);
+  Tensor y = fused ? bn.forward_relu(x) : relu(bn.forward(x));
+  sum(mul(y, w)).backward();
+  return {y.detach(), x.grad(), bn.gamma().grad(), bn.beta().grad(),
+          bn.running_mean().clone(), bn.running_var().clone()};
+}
+
+TEST(BatchNorm, FusedReluMatchesReluOfBnBitForBit) {
+  for (const bool training : {true, false}) {
+    // (32, 16, 64) is over the parallel threshold; (3, 4, 5) is not.
+    for (const Shape& shape : {Shape{3, 4, 5}, Shape{32, 16, 64},
+                               Shape{8, 6}}) {
+      const BnRun a = run_bn(false, training, shape);
+      const BnRun b = run_bn(true, training, shape);
+      const std::string where = std::string(training ? "train " : "eval ") +
+                                shape.to_string();
+      EXPECT_TRUE(same_bits(a.y, b.y)) << "forward, " << where;
+      EXPECT_TRUE(same_bits(a.dx, b.dx)) << "dx, " << where;
+      EXPECT_TRUE(same_bits(a.dgamma, b.dgamma)) << "dgamma, " << where;
+      EXPECT_TRUE(same_bits(a.dbeta, b.dbeta)) << "dbeta, " << where;
+      EXPECT_TRUE(same_bits(a.running_mean, b.running_mean)) << where;
+      EXPECT_TRUE(same_bits(a.running_var, b.running_var)) << where;
+    }
+  }
+}
+
+TEST(BatchNorm, FusedReluGradcheck) {
+  for (const bool training : {true, false}) {
+    BatchNorm1d bn(3);
+    if (!training) {
+      bn.eval();
+    }
+    RandomEngine rng(113);
+    Tensor x = Tensor::uniform(Shape{4, 3, 5}, -2.0F, 2.0F, rng);
+    x.set_requires_grad(true);
+    const auto dx = gradcheck(
+        [&bn](const std::vector<Tensor>& in) { return bn.forward_relu(in[0]); },
+        {x}, {.eps = 1e-3, .atol = 1e-2, .rtol = 8e-2});
+    EXPECT_TRUE(dx.ok) << (training ? "train: " : "eval: ") << dx.detail;
+    const auto affine = gradcheck(
+        [&bn, &x](const std::vector<Tensor>&) { return bn.forward_relu(x); },
+        {bn.gamma(), bn.beta()}, {.eps = 1e-3, .atol = 1e-2, .rtol = 8e-2});
+    EXPECT_TRUE(affine.ok) << (training ? "train: " : "eval: ")
+                           << affine.detail;
+  }
+}
+
+TEST(BatchNorm, UnbackwardedGraphIsFreed) {
+  // The node reads its output through the impl it is handed, not by
+  // capture, so dropping the output frees the whole graph.
+  for (const bool fused : {false, true}) {
+    BatchNorm1d bn(4);
+    RandomEngine rng(127);
+    Tensor x = Tensor::randn(Shape{8, 4, 16}, rng);
+    x.set_requires_grad(true);
+    std::weak_ptr<TensorImpl> watch;
+    {
+      Tensor y = fused ? bn.forward_relu(x) : bn.forward(x);
+      ASSERT_NE(y.impl()->grad_fn, nullptr);
+      watch = y.impl();
+    }
+    EXPECT_TRUE(watch.expired()) << (fused ? "forward_relu" : "forward");
+  }
 }
 
 TEST(BatchNorm, Rank2InputSupported) {

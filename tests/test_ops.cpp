@@ -8,10 +8,13 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <ostream>
+#include <vector>
 
 #include "tensor/error.hpp"
 #include "tensor/gradcheck.hpp"
+#include "tensor/parallel.hpp"
 
 namespace pit {
 namespace {
@@ -95,6 +98,50 @@ TEST(Ops, BinarizeBackwardIsStraightThrough) {
   sum(mul_scalar(binarize(a, 0.5F), 3.0F)).backward();
   EXPECT_FLOAT_EQ(a.grad().data()[0], 3.0F);
   EXPECT_FLOAT_EQ(a.grad().data()[1], 3.0F);
+}
+
+TEST(Ops, UnaryGraphIsFreedWithoutBackward) {
+  // A forward that is never backwarded must not outlive its last handle:
+  // the backward closure reads the output through the impl it is handed,
+  // so there is no impl -> grad_fn -> closure -> impl cycle.
+  RandomEngine rng(53);
+  Tensor x = Tensor::randn(Shape{16, 32, 64}, rng);
+  x.set_requires_grad(true);
+  const std::vector<std::function<Tensor(const Tensor&)>> ops = {
+      [](const Tensor& a) { return relu(a); },
+      [](const Tensor& a) { return sigmoid(a); },
+      [](const Tensor& a) { return tanh_op(a); },
+      [](const Tensor& a) { return exp_op(a); },
+      [](const Tensor& a) { return sqrt_op(square(a)); },
+  };
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    std::weak_ptr<TensorImpl> watch;
+    {
+      Tensor y = ops[i](x);
+      ASSERT_NE(y.impl()->grad_fn, nullptr);
+      watch = y.impl();
+    }
+    EXPECT_TRUE(watch.expired()) << "op " << i;
+  }
+}
+
+TEST(Ops, UnaryOverParallelThresholdMatchesElementwise) {
+  // Above kParallelMinWork the loops are split across threads; every
+  // element must still equal its own serial formula exactly.
+  RandomEngine rng(59);
+  Tensor x = Tensor::randn(Shape{2 * kParallelMinWork + 3}, rng);
+  x.set_requires_grad(true);
+  Tensor y = sigmoid(x);
+  sum(y).backward();
+  const Tensor gx = x.grad();
+  const float* xd = x.data();
+  const float* yd = y.data();
+  const float* gd = gx.data();
+  for (index_t i = 0; i < x.numel(); ++i) {
+    const float want = 1.0F / (1.0F + std::exp(-xd[i]));
+    ASSERT_EQ(yd[i], want) << "element " << i;
+    ASSERT_EQ(gd[i], 1.0F * (want * (1.0F - want))) << "element " << i;
+  }
 }
 
 TEST(Ops, SumAndMeanValues) {

@@ -9,9 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include <cstring>
+
 #include "core/search.hpp"
 #include "data/dataloader.hpp"
 #include "data/dataset.hpp"
+#include "data/ppg_dalia.hpp"
+#include "models/temponet.hpp"
 #include "nn/losses.hpp"
 #include "tensor/error.hpp"
 
@@ -202,6 +210,86 @@ TEST(PitTrainer, RejectsEmptyLayerList) {
   RandomEngine rng(457);
   TinyDelayModel model(rng);
   EXPECT_THROW(PitTrainer(model, {}, mse(), {}), Error);
+}
+
+TEST(PitTrainer, BitIdenticalAtOneTwoAndFourThreads) {
+  // Half-width TempoNet at batch 16 over 128-step windows sends every
+  // OpenMP loop of the training step (BatchNorm+ReLU, pooling, linear,
+  // Adam, the mask chain, the blocked conv kernels) over its parallel
+  // threshold. Each loop splits only independent outputs, so the thread
+  // count must not move a single bit of the trained state.
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  data::PpgDaliaDataset ppg(
+      {.num_windows = 48, .window_len = 128, .seed = 467});
+  data::SubsetDataset train_view(ppg, 0, 32);
+  data::SubsetDataset val_view(ppg, 32, 16);
+  models::TempoNetConfig config;
+  config.channel_scale = 0.5;
+  config.input_length = 128;
+  PitTrainerOptions options;
+  options.warmup_epochs = 1;
+  options.max_prune_epochs = 2;
+  options.finetune_epochs = 1;
+  options.patience = 10;
+
+  struct Outcome {
+    std::vector<Tensor> state;
+    std::vector<std::vector<float>> gammas;
+    PitTrainingResult result;
+  };
+  const auto run = [&](int threads) {
+    omp_set_num_threads(threads);
+    RandomEngine rng(479);
+    std::vector<PITConv1d*> layers;
+    models::TempoNet model(config, pit_conv_factory(rng, layers), rng);
+    data::DataLoader train(train_view, 16, true, 5);
+    data::DataLoader val(val_view, 16, false);
+    PitTrainer trainer(model, layers, mse(), options);
+    Outcome out;
+    out.result = trainer.run(train, val);
+    out.state = model.state_snapshot();
+    for (const PITConv1d* layer : layers) {
+      const auto v = layer->gamma().values().span();
+      out.gammas.emplace_back(v.begin(), v.end());
+    }
+    return out;
+  };
+  const auto same_bits = [](std::span<const float> a,
+                            std::span<const float> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+
+  const int saved = omp_get_max_threads();
+  const Outcome one = run(1);
+  for (const int threads : {2, 4}) {
+    const Outcome many = run(threads);
+    ASSERT_EQ(many.state.size(), one.state.size());
+    for (std::size_t i = 0; i < one.state.size(); ++i) {
+      EXPECT_TRUE(same_bits(one.state[i].span(), many.state[i].span()))
+          << "state tensor " << i << ", " << threads << " threads";
+    }
+    ASSERT_EQ(many.gammas.size(), one.gammas.size());
+    for (std::size_t i = 0; i < one.gammas.size(); ++i) {
+      EXPECT_TRUE(same_bits(one.gammas[i], many.gammas[i]))
+          << "gammas of layer " << i << ", " << threads << " threads";
+    }
+    ASSERT_EQ(many.result.history.size(), one.result.history.size());
+    for (std::size_t e = 0; e < one.result.history.size(); ++e) {
+      const EpochStats& a = one.result.history[e];
+      const EpochStats& b = many.result.history[e];
+      EXPECT_EQ(std::memcmp(&a.train_loss, &b.train_loss, sizeof(double)), 0)
+          << "epoch " << e << ", " << threads << " threads";
+      EXPECT_EQ(std::memcmp(&a.val_loss, &b.val_loss, sizeof(double)), 0)
+          << "epoch " << e << ", " << threads << " threads";
+      EXPECT_EQ(a.dilations, b.dilations) << "epoch " << e;
+    }
+    EXPECT_EQ(many.result.dilations, one.result.dilations);
+  }
+  omp_set_num_threads(saved);
+#endif
 }
 
 TEST(TrainSupervised, ConvergesAndReportsTiming) {
