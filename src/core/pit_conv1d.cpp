@@ -46,13 +46,11 @@ Tensor masked_causal_conv1d(const Tensor& x, const Tensor& weight,
     const float* md = mask.data();
     float* ed = weff.data();
     const index_t pairs = dims.c_out * dims.c_in;
-#pragma omp parallel for schedule(static) \
-    if (pairs * dims.k >= kParallelMinWork)
-    for (index_t p = 0; p < pairs; ++p) {
+    parallel_for(pairs, pairs * dims.k, [&](index_t p) {
       for (index_t i = 0; i < dims.k; ++i) {
         ed[p * dims.k + i] = wd[p * dims.k + i] * md[i];
       }
-    }
+    });
   }
 
   Tensor out = Tensor::zeros(Shape{dims.n, dims.c_out, dims.t_out});
@@ -86,35 +84,32 @@ Tensor masked_causal_conv1d(const Tensor& x, const Tensor& weight,
         if (w_needs || m_needs) {
           // Gradient w.r.t. the *effective* weights, then chain rule:
           // dW = dWeff ⊙ M,  dM_i = sum_{co,ci} dWeff[co,ci,i] * W[co,ci,i].
-          std::vector<float> dweff(
-              static_cast<std::size_t>(tw.numel()), 0.0F);
+          // Zero-filled: the kernel accumulates into it.
+          FloatBuffer dweff(static_cast<std::size_t>(tw.numel()), 0.0F);
           nn::kernels::conv_backward_weight(dy, tx.data(), dweff.data(), dims);
+          const float* de = dweff.data();
           const float* wd = tw.data();
           const float* md = tm.data();
           const index_t pairs = dims.c_out * dims.c_in;
-          const bool parallel = pairs * dims.k >= kParallelMinWork;
+          const index_t work = pairs * dims.k;
           if (w_needs) {
             float* wg = grad_span(*tw.impl()).data();
-#pragma omp parallel for schedule(static) if (parallel)
-            for (index_t p = 0; p < pairs; ++p) {
+            parallel_for(pairs, work, [&](index_t p) {
               for (index_t i = 0; i < dims.k; ++i) {
-                wg[p * dims.k + i] +=
-                    dweff[static_cast<std::size_t>(p * dims.k + i)] * md[i];
+                wg[p * dims.k + i] += de[p * dims.k + i] * md[i];
               }
-            }
+            });
           }
           if (m_needs) {
             // One serial reduction over pairs per tap; taps split.
             float* mg = grad_span(*tm.impl()).data();
-#pragma omp parallel for schedule(static) if (parallel)
-            for (index_t i = 0; i < dims.k; ++i) {
+            parallel_for(dims.k, work, [&](index_t i) {
               float acc = 0.0F;
               for (index_t p = 0; p < pairs; ++p) {
-                acc += dweff[static_cast<std::size_t>(p * dims.k + i)] *
-                       wd[p * dims.k + i];
+                acc += de[p * dims.k + i] * wd[p * dims.k + i];
               }
               mg[i] += acc;
-            }
+            });
           }
         }
         if (needs(tb)) {

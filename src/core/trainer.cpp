@@ -129,6 +129,9 @@ PitTrainer::PitTrainer(nn::Module& model, std::vector<PITConv1d*> pit_layers,
 
 PitTrainingResult PitTrainer::run(data::DataLoader& train,
                                   data::DataLoader& val) {
+  // Every batch frees and re-allocates the same buffer sizes: recycle them
+  // on this thread for the whole run instead of faulting pages in again.
+  const BufferRecycleScope recycle;
   PitTrainingResult result;
   const auto overall_start = Clock::now();
 
@@ -235,6 +238,9 @@ PlainTrainingResult train_supervised(nn::Module& model, const LossFn& loss,
                                      const PlainTrainingOptions& options) {
   PIT_CHECK(options.max_epochs >= 1, "train_supervised: max_epochs >= 1");
   PIT_CHECK(options.patience >= 1, "train_supervised: patience >= 1");
+  // Same recycling as PitTrainer::run, so Fig. 5's ratio of search to
+  // plain training compares like with like.
+  const BufferRecycleScope recycle;
   const auto start = Clock::now();
   nn::Adam opt(std::move(params), options.lr);
   nn::EarlyStopping stopping(options.patience);

@@ -69,6 +69,9 @@ ProxylessTrainer::ProxylessTrainer(nn::Module& model,
 
 ProxylessResult ProxylessTrainer::run(data::DataLoader& train,
                                       data::DataLoader& val) {
+  // Recycles training buffers as PitTrainer::run does, so Fig. 5 compares
+  // the two searches like with like (the fine-tune's scope nests in it).
+  const BufferRecycleScope recycle;
   ProxylessResult result;
   const auto overall_start = Clock::now();
   RandomEngine path_rng(options_.sample_seed);

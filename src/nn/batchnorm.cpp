@@ -56,8 +56,7 @@ Tensor BatchNorm1d::forward_impl(const Tensor& input, bool fuse_relu) {
 
   // One channel per iteration: its statistics (double accumulators in
   // serial (n, t) order), running-statistic update and normalization.
-#pragma omp parallel for schedule(static) if (n * c * t >= kParallelMinWork)
-  for (index_t ci = 0; ci < c; ++ci) {
+  parallel_for(c, n * c * t, [&](index_t ci) {
     float var = 0.0F;
     if (training) {
       double acc = 0.0;
@@ -100,7 +99,7 @@ Tensor BatchNorm1d::forward_impl(const Tensor& input, bool fuse_relu) {
         od[row + ti] = fuse_relu && !(y > 0.0F) ? 0.0F : y;
       }
     }
-  }
+  });
 
   const Tensor tx = input;
   const Tensor tg = gamma_;
@@ -131,8 +130,7 @@ Tensor BatchNorm1d::forward_impl(const Tensor& input, bool fuse_relu) {
           return fuse_relu && !(yd[idx] > 0.0F) ? 0.0F : dy[idx];
         };
 
-#pragma omp parallel for schedule(static) if (n * c * t >= kParallelMinWork)
-        for (index_t ci = 0; ci < c; ++ci) {
+        parallel_for(c, n * c * t, [&](index_t ci) {
           const float mean_c = mu[ci];
           const float is = inv_std[ci];
           // Channel-wise reductions shared by all gradient formulas.
@@ -173,7 +171,7 @@ Tensor BatchNorm1d::forward_impl(const Tensor& input, bool fuse_relu) {
               }
             }
           }
-        }
+        });
       });
 }
 

@@ -30,19 +30,17 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
   const float* bd = bias.defined() ? bias.data() : nullptr;
   float* od = out.data();
   // Every (i, j) output is its own serial dot product.
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (n * o * f >= kParallelMinWork)
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j < o; ++j) {
-      const float* xrow = xd + i * f;
-      const float* wrow = wd + j * f;
-      float acc = bd != nullptr ? bd[j] : 0.0F;
-      for (index_t p = 0; p < f; ++p) {
-        acc += xrow[p] * wrow[p];
-      }
-      od[i * o + j] = acc;
+  parallel_for(n * o, n * o * f, [&](index_t ij) {
+    const index_t i = ij / o;
+    const index_t j = ij % o;
+    const float* xrow = xd + i * f;
+    const float* wrow = wd + j * f;
+    float acc = bd != nullptr ? bd[j] : 0.0F;
+    for (index_t p = 0; p < f; ++p) {
+      acc += xrow[p] * wrow[p];
     }
-  }
+    od[ij] = acc;
+  });
 
   const Tensor tx = x;
   const Tensor tw = weight;
@@ -56,12 +54,11 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
         const float* dy = out_impl.grad.data();
         const float* xd2 = tx.data();
         const float* wd2 = tw.data();
-        const bool parallel = n * o * f >= kParallelMinWork;
+        const index_t work = n * o * f;
         if (tx.impl()->requires_grad || tx.impl()->grad_fn != nullptr) {
           float* xg = grad_span(*tx.impl()).data();
           // dX = dY @ W : (n,o) @ (o,f), split over rows of dX.
-#pragma omp parallel for schedule(static) if (parallel)
-          for (index_t i = 0; i < n; ++i) {
+          parallel_for(n, work, [&](index_t i) {
             const float* dyrow = dy + i * o;
             float* xgrow = xg + i * f;
             for (index_t j = 0; j < o; ++j) {
@@ -74,14 +71,13 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
                 xgrow[p] += g * wrow[p];
               }
             }
-          }
+          });
         }
         if (tw.impl()->requires_grad || tw.impl()->grad_fn != nullptr) {
           float* wg = grad_span(*tw.impl()).data();
           // dW = dY^T @ X : (o,n) @ (n,f), split over rows j of dW; each
           // element still accumulates over i in increasing order.
-#pragma omp parallel for schedule(static) if (parallel)
-          for (index_t j = 0; j < o; ++j) {
+          parallel_for(o, work, [&](index_t j) {
             float* wgrow = wg + j * f;
             for (index_t i = 0; i < n; ++i) {
               const float g = dy[i * o + j];
@@ -93,7 +89,7 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
                 wgrow[p] += g * xrow[p];
               }
             }
-          }
+          });
         }
         if (tb.defined() &&
             (tb.impl()->requires_grad || tb.impl()->grad_fn != nullptr)) {

@@ -81,9 +81,8 @@ void Adam::step() {
       v.assign(pv.size(), 0.0F);
     }
     // Elements update independently: split them.
-#pragma omp parallel for schedule(static) \
-    if (static_cast<index_t>(pv.size()) >= kParallelMinWork)
-    for (std::size_t j = 0; j < pv.size(); ++j) {
+    const auto count = static_cast<index_t>(pv.size());
+    parallel_for(count, count, [&](index_t j) {
       const double grad = g[j];
       m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * grad);
       v[j] = static_cast<float>(beta2_ * v[j] + (1.0 - beta2_) * grad * grad);
@@ -94,7 +93,7 @@ void Adam::step() {
         update += lr_ * weight_decay_ * pv[j];  // decoupled (AdamW)
       }
       pv[j] -= static_cast<float>(update);
-    }
+    });
   }
 }
 

@@ -23,8 +23,7 @@ Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
   float* od = out.data();
   const float inv_k = 1.0F / static_cast<float>(kernel);
   // Rows (one (n, c) pair each) are independent: split them.
-#pragma omp parallel for schedule(static) if (n * c * t_in >= kParallelMinWork)
-  for (index_t row = 0; row < n * c; ++row) {
+  parallel_for(n * c, n * c * t_in, [&](index_t row) {
     const float* xrow = xd + row * t_in;
     float* orow = od + row * t_out;
     for (index_t to = 0; to < t_out; ++to) {
@@ -34,7 +33,7 @@ Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
       }
       orow[to] = acc * inv_k;
     }
-  }
+  });
 
   const Tensor tx = x;
   return make_op_output(
@@ -46,8 +45,7 @@ Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
         float* xg = grad_span(*tx.impl()).data();
         const float inv_k = 1.0F / static_cast<float>(kernel);
         const float* dy = o.grad.data();
-#pragma omp parallel for schedule(static) if (n * c * t_in >= kParallelMinWork)
-        for (index_t row = 0; row < n * c; ++row) {
+        parallel_for(n * c, n * c * t_in, [&](index_t row) {
           float* xgrow = xg + row * t_in;
           const float* dyrow = dy + row * t_out;
           for (index_t to = 0; to < t_out; ++to) {
@@ -56,7 +54,7 @@ Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
               xgrow[to * stride + k] += g;
             }
           }
-        }
+        });
       });
 }
 

@@ -7,10 +7,6 @@
 
 #include "tensor/error.hpp"
 
-#if PIT_ASAN
-#include <sanitizer/asan_interface.h>
-#endif
-
 namespace pit::runtime::hardening {
 
 namespace {
@@ -53,24 +49,6 @@ Mode mode() { return mode_slot().load(std::memory_order_relaxed); }
 
 Mode set_mode_for_test(Mode m) {
   return mode_slot().exchange(clamp(m), std::memory_order_relaxed);
-}
-
-void poison(const void* p, std::size_t bytes) {
-#if PIT_ASAN
-  __asan_poison_memory_region(p, bytes);
-#else
-  (void)p;
-  (void)bytes;
-#endif
-}
-
-void unpoison(const void* p, std::size_t bytes) {
-#if PIT_ASAN
-  __asan_unpoison_memory_region(p, bytes);
-#else
-  (void)p;
-  (void)bytes;
-#endif
 }
 
 void fill_canary(void* p, std::size_t bytes) {

@@ -32,22 +32,12 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/asan.hpp"
 #include "tensor/shape.hpp"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define PIT_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PIT_ASAN 1
-#endif
-#endif
-#ifndef PIT_ASAN
-#define PIT_ASAN 0
-#endif
 
 namespace pit::runtime::hardening {
 
-inline constexpr bool kAsanBuild = PIT_ASAN != 0;
+inline constexpr bool kAsanBuild = asan::kEnabled;
 
 enum class Mode : std::uint8_t { kOff, kCanary, kPoison };
 
@@ -69,10 +59,10 @@ inline constexpr std::uint8_t kCanaryByte = 0xAB;
 
 // ---- raw shadow-memory / canary primitives --------------------------------
 // The executors compose these with their own layout knowledge; outside an
-// ASan build the poison calls compile to nothing.
+// ASan build the poison calls compile to nothing (tensor/asan.hpp).
 
-void poison(const void* p, std::size_t bytes);
-void unpoison(const void* p, std::size_t bytes);
+using asan::poison;
+using asan::unpoison;
 
 /// Unpoisons `rows` rows of `stride` elements each, keeping the trailing
 /// `keep_tail` elements of every row poisoned (the output-slack rule).

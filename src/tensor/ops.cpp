@@ -32,10 +32,7 @@ Tensor unary_op(const Tensor& a, const char* name, Fwd fwd, Bwd dfdx) {
   const float* ad = a.data();
   float* od = out.data();
   const index_t numel = a.numel();
-#pragma omp parallel for schedule(static) if (numel >= kParallelMinWork)
-  for (index_t i = 0; i < numel; ++i) {
-    od[i] = fwd(ad[i]);
-  }
+  parallel_for(numel, numel, [&](index_t i) { od[i] = fwd(ad[i]); });
   const Tensor ta = a;
   return make_op_output(
       std::move(out), {a}, name, [ta, dfdx](TensorImpl& o) {
@@ -47,10 +44,9 @@ Tensor unary_op(const Tensor& a, const char* name, Fwd fwd, Bwd dfdx) {
         const float* od2 = o.data.data();
         const float* dy = o.grad.data();
         const index_t numel2 = ta.numel();
-#pragma omp parallel for schedule(static) if (numel2 >= kParallelMinWork)
-        for (index_t i = 0; i < numel2; ++i) {
+        parallel_for(numel2, numel2, [&](index_t i) {
           ag[i] += dy[i] * dfdx(ad2[i], od2[i]);
-        }
+        });
       });
 }
 

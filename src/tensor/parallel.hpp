@@ -1,4 +1,4 @@
-// Size gate for the OpenMP loops of the autograd training step.
+// Size-gated OpenMP loop for the autograd training step.
 //
 // BatchNorm, the unary ops, average pooling, the linear layer, Adam and
 // the masked conv's mask chain run their loops on the same OpenMP pool as
@@ -17,5 +17,22 @@ namespace pit {
 /// the calling thread. Every gated loop compares its own work count
 /// against this one value, as the conv kernels do with kBlockedMinMacs.
 inline constexpr index_t kParallelMinWork = 16384;
+
+/// Runs body(i) for i in [0, n): on the calling thread when `work` is
+/// below kParallelMinWork (no OpenMP region is entered at all), otherwise
+/// split statically over the OpenMP pool. Iterations must be independent.
+template <typename Body>
+void parallel_for(index_t n, index_t work, const Body& body) {
+  if (work < kParallelMinWork) {
+    for (index_t i = 0; i < n; ++i) {
+      body(i);
+    }
+    return;
+  }
+#pragma omp parallel for schedule(static)
+  for (index_t i = 0; i < n; ++i) {
+    body(i);
+  }
+}
 
 }  // namespace pit

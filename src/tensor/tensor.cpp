@@ -1,12 +1,103 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <unordered_map>
 
+#include "tensor/asan.hpp"
 #include "tensor/autograd.hpp"
 #include "tensor/error.hpp"
 
 namespace pit {
+
+namespace detail {
+
+/// One training run's cache of freed buffers, owned by the outermost
+/// BufferRecycleScope on its thread. Cached blocks are ASan-poisoned until
+/// reissued, and in Debug and ASan builds a reissued block is filled with
+/// NaN, so an op that reads a Tensor::empty() buffer before writing it
+/// reads NaN instead of the previous batch's values.
+class BufferRecycler {
+ public:
+  BufferRecycler() = default;
+  BufferRecycler(const BufferRecycler&) = delete;
+  BufferRecycler& operator=(const BufferRecycler&) = delete;
+  ~BufferRecycler() {
+    for (auto& [bytes, blocks] : free_) {
+      for (void* p : blocks) {
+        asan::unpoison(p, bytes);
+        ::operator delete(p, bytes);
+      }
+    }
+  }
+
+  void* take(std::size_t bytes) noexcept {
+    auto it = free_.find(bytes);
+    if (it == free_.end() || it->second.empty()) {
+      return nullptr;
+    }
+    void* p = it->second.back();
+    it->second.pop_back();
+    cached_bytes_ -= bytes;
+    asan::unpoison(p, bytes);
+#if PIT_ASAN || !defined(NDEBUG)
+    std::memset(p, 0xFF, bytes);  // all-ones bit pattern: a float NaN
+#endif
+    return p;
+  }
+
+  bool keep(void* p, std::size_t bytes) noexcept {
+    if (cached_bytes_ + bytes > kRecycleMaxCachedBytes) {
+      return false;
+    }
+    try {
+      free_[bytes].push_back(p);
+    } catch (...) {  // no room for the list entry: free the block instead
+      return false;
+    }
+    cached_bytes_ += bytes;
+    asan::poison(p, bytes);
+    return true;
+  }
+
+  std::size_t cached_bytes() const noexcept { return cached_bytes_; }
+
+ private:
+  std::unordered_map<std::size_t, std::vector<void*>> free_;
+  std::size_t cached_bytes_ = 0;
+};
+
+namespace {
+thread_local BufferRecycler* g_recycler = nullptr;
+}  // namespace
+
+void* recycler_take(std::size_t bytes) noexcept {
+  return g_recycler != nullptr ? g_recycler->take(bytes) : nullptr;
+}
+
+bool recycler_keep(void* p, std::size_t bytes) noexcept {
+  return g_recycler != nullptr && g_recycler->keep(p, bytes);
+}
+
+std::size_t recycler_cached_bytes() noexcept {
+  return g_recycler != nullptr ? g_recycler->cached_bytes() : 0;
+}
+
+}  // namespace detail
+
+BufferRecycleScope::BufferRecycleScope() {
+  if (detail::g_recycler == nullptr) {
+    owned_ = std::make_unique<detail::BufferRecycler>();
+    detail::g_recycler = owned_.get();
+  }
+}
+
+BufferRecycleScope::~BufferRecycleScope() {
+  if (owned_ != nullptr) {
+    detail::g_recycler = nullptr;
+  }
+}
 
 namespace {
 

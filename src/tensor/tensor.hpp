@@ -23,22 +23,63 @@ namespace pit {
 struct TensorImpl;
 struct Node;
 
+namespace detail {
+
+/// Buffers smaller than this never enter the training-run recycler: glibc
+/// serves them from its bins without touching the kernel.
+inline constexpr std::size_t kRecycleMinBytes = std::size_t{16} << 10;
+/// Most bytes one thread's recycler holds; a buffer freed past the cap
+/// goes back to the heap.
+inline constexpr std::size_t kRecycleMaxCachedBytes = std::size_t{64} << 20;
+
+/// A cached block of exactly `bytes` bytes from this thread's open
+/// BufferRecycleScope, or nullptr (no scope open, or no block that size).
+void* recycler_take(std::size_t bytes) noexcept;
+/// Caches `p` (from ::operator new(bytes)) in this thread's open scope;
+/// false when no scope is open or the cap is reached, and the caller
+/// frees it.
+bool recycler_keep(void* p, std::size_t bytes) noexcept;
+/// Bytes this thread's recycler holds right now (0 outside a scope).
+std::size_t recycler_cached_bytes() noexcept;
+
+class BufferRecycler;
+
+}  // namespace detail
+
 /// Allocator that default-initializes on container growth, so trivially
 /// constructible elements (floats) are left uninitialized instead of being
 /// zero-filled. Value construction (assign/fill/push_back with an argument)
 /// still writes real values, so zeroing remains explicit where it matters.
 /// This is what lets Tensor::empty() and batch assembly skip the redundant
 /// fill pass on buffers the caller overwrites completely.
+///
+/// Inside a BufferRecycleScope, buffers of at least kRecycleMinBytes are
+/// taken from and returned to the calling thread's recycler (exact-size
+/// free lists), so a training step reuses the previous step's buffers
+/// instead of faulting fresh pages in. Outside a scope it is std::allocator.
 template <class T>
 struct DefaultInitAllocator {
+  // Recycled blocks come from plain ::operator new(bytes), which is what
+  // std::allocator uses for every T that is not over-aligned.
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
   using value_type = T;
 
   DefaultInitAllocator() noexcept = default;
   template <class U>
   DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}  // NOLINT
 
-  T* allocate(std::size_t n) { return std::allocator<T>().allocate(n); }
+  T* allocate(std::size_t n) {
+    if (recyclable(n)) {
+      if (void* p = detail::recycler_take(n * sizeof(T))) {
+        return static_cast<T*>(p);
+      }
+    }
+    return std::allocator<T>().allocate(n);
+  }
   void deallocate(T* p, std::size_t n) noexcept {
+    if (recyclable(n) && detail::recycler_keep(p, n * sizeof(T))) {
+      return;
+    }
     std::allocator<T>().deallocate(p, n);
   }
 
@@ -54,6 +95,11 @@ struct DefaultInitAllocator {
   friend bool operator==(const DefaultInitAllocator&,
                          const DefaultInitAllocator&) {
     return true;
+  }
+
+ private:
+  static bool recyclable(std::size_t n) noexcept {
+    return n >= detail::kRecycleMinBytes / sizeof(T);
   }
 };
 
@@ -74,8 +120,10 @@ class Tensor {
   /// Scalar (rank-0) tensor.
   static Tensor scalar(float value);
   /// Allocated but NOT initialized — the caller must overwrite every
-  /// element before reading. The no-tape inference runtime and batch
-  /// assembly use this to skip the zero-fill pass of zeros().
+  /// element before reading. The contents are unspecified, not zeros:
+  /// inside a BufferRecycleScope they may be a recycled buffer's stale
+  /// data (NaN in Debug and ASan builds). The no-tape inference runtime
+  /// and batch assembly use this to skip the zero-fill pass of zeros().
   static Tensor empty(const Shape& shape);
   /// Copies `values`; numel must match the shape.
   static Tensor from_vector(const std::vector<float>& values,
@@ -164,5 +212,23 @@ class NoGradGuard {
 
 /// True when ops should record autograd nodes on this thread.
 bool grad_mode_enabled();
+
+/// RAII scope that turns on the calling thread's buffer recycler (see
+/// DefaultInitAllocator) for one training run. Internal: the trainers
+/// (core::PitTrainer::run, core::train_supervised,
+/// nas::ProxylessTrainer::run) open one. Scopes nest;
+/// the outermost one owns the cache and frees every buffer it still holds
+/// when it closes. A buffer that outlives the scope is freed normally.
+/// Other threads, serving threads among them, never cache.
+class BufferRecycleScope {
+ public:
+  BufferRecycleScope();
+  ~BufferRecycleScope();
+  BufferRecycleScope(const BufferRecycleScope&) = delete;
+  BufferRecycleScope& operator=(const BufferRecycleScope&) = delete;
+
+ private:
+  std::unique_ptr<detail::BufferRecycler> owned_;  // null when nested
+};
 
 }  // namespace pit

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <thread>
+
+#include "tensor/asan.hpp"
 #include "tensor/error.hpp"
 #include "tensor/ops.hpp"
 
@@ -140,6 +144,151 @@ TEST(Tensor, ToStringMentionsShape) {
   EXPECT_NE(a.to_string().find("(2, 2)"), std::string::npos);
   EXPECT_EQ(Tensor().to_string(), "Tensor(undefined)");
 }
+
+// ---- Training-run buffer recycler ----------------------------------------
+
+// Large enough to be recycled: 8192 floats = 32 KiB.
+constexpr std::size_t kBig = 8192;
+constexpr std::size_t kBigBytes = kBig * sizeof(float);
+
+/// A buffer of `n` floats that the caller promises not to read.
+FloatBuffer uninit(std::size_t n) {
+  FloatBuffer b;
+  b.resize(n);
+  return b;
+}
+
+TEST(BufferRecycler, SameSizeAllocationInAScopeReusesTheFreedBuffer) {
+  const BufferRecycleScope scope;
+  const float* first = nullptr;
+  {
+    const Tensor t = Tensor::empty(Shape{64, 128});
+    first = t.data();
+  }
+  EXPECT_EQ(detail::recycler_cached_bytes(), kBigBytes);
+  const FloatBuffer other = uninit(kBig + 1);  // another size: a fresh block
+  EXPECT_NE(other.data(), first);
+  const Tensor again = Tensor::zeros(Shape{kBig});
+  EXPECT_EQ(again.data(), first);
+  EXPECT_EQ(detail::recycler_cached_bytes(), 0U);
+  for (const float v : again.span()) {
+    ASSERT_EQ(v, 0.0F);  // value construction still writes every element
+  }
+}
+
+TEST(BufferRecycler, NothingIsCachedOutsideAScopeOrOnAnotherThread) {
+  { const FloatBuffer b = uninit(kBig); }
+  EXPECT_EQ(detail::recycler_cached_bytes(), 0U);
+
+  const BufferRecycleScope scope;
+  const std::size_t below_floor = detail::kRecycleMinBytes / sizeof(float) - 1;
+  { const FloatBuffer small = uninit(below_floor); }
+  EXPECT_EQ(detail::recycler_cached_bytes(), 0U);  // below the floor
+
+  std::size_t other_thread_cached = 1;
+  std::thread worker([&] {
+    { const FloatBuffer b = uninit(kBig); }
+    other_thread_cached = detail::recycler_cached_bytes();
+  });
+  worker.join();
+  EXPECT_EQ(other_thread_cached, 0U);
+  EXPECT_EQ(detail::recycler_cached_bytes(), 0U);
+
+  // A buffer made in the scope and freed on a thread without one goes
+  // straight back to the heap.
+  FloatBuffer handed_over = uninit(kBig);
+  std::thread consumer([b = std::move(handed_over)]() mutable {
+    FloatBuffer().swap(b);
+  });
+  consumer.join();
+  EXPECT_EQ(detail::recycler_cached_bytes(), 0U);
+}
+
+TEST(BufferRecycler, NestedScopesShareTheOutermostCache) {
+  {
+    const BufferRecycleScope outer;
+    {
+      const BufferRecycleScope inner;
+      { const FloatBuffer b = uninit(kBig); }
+      EXPECT_EQ(detail::recycler_cached_bytes(), kBigBytes);
+    }
+    // The inner scope owned nothing: the outer one still holds the buffer.
+    EXPECT_EQ(detail::recycler_cached_bytes(), kBigBytes);
+    const FloatBuffer reused = uninit(kBig);
+    EXPECT_EQ(detail::recycler_cached_bytes(), 0U);
+  }
+  EXPECT_EQ(detail::recycler_cached_bytes(), 0U);
+  // A fresh scope starts with an empty cache.
+  const BufferRecycleScope again;
+  EXPECT_EQ(detail::recycler_cached_bytes(), 0U);
+}
+
+TEST(BufferRecycler, CapBoundsTheCachedBytes) {
+  // Two buffers of just over half the cap: only the first fits.
+  const std::size_t n = detail::kRecycleMaxCachedBytes / 2 / sizeof(float) + 1;
+  const BufferRecycleScope scope;
+  {
+    const FloatBuffer a = uninit(n);
+    const FloatBuffer b = uninit(n);
+  }
+  EXPECT_EQ(detail::recycler_cached_bytes(), n * sizeof(float));
+  EXPECT_LE(detail::recycler_cached_bytes(), detail::kRecycleMaxCachedBytes);
+}
+
+TEST(BufferRecycler, BuffersThatOutliveTheirScopeAreFreedCleanly) {
+  // Run under LeakSanitizer in the ASan job: each buffer below must reach
+  // the heap exactly once, whichever side of the scope frees it.
+  FloatBuffer made_inside;
+  Tensor tensor_inside;
+  FloatBuffer made_before = uninit(kBig);
+  {
+    const BufferRecycleScope scope;
+    made_inside = uninit(kBig * 2);
+    tensor_inside = Tensor::ones(Shape{kBig * 3});
+    FloatBuffer().swap(made_before);  // cached, then released by the scope
+    EXPECT_EQ(detail::recycler_cached_bytes(), kBigBytes);
+  }
+  EXPECT_EQ(detail::recycler_cached_bytes(), 0U);
+  EXPECT_EQ(tensor_inside.data()[kBig * 3 - 1], 1.0F);
+  FloatBuffer().swap(made_inside);  // plain std::allocator free
+  tensor_inside = Tensor();
+}
+
+TEST(BufferRecycler, ReusedBufferIsNaNInCheckedBuilds) {
+#if PIT_ASAN || !defined(NDEBUG)
+  const BufferRecycleScope scope;
+  {
+    FloatBuffer b(kBig, 1.0F);
+  }
+  const Tensor t = Tensor::empty(Shape{kBig});
+  for (const float v : t.span()) {
+    ASSERT_TRUE(std::isnan(v));
+  }
+#else
+  GTEST_SKIP() << "Release build: reused buffers keep their stale values";
+#endif
+}
+
+#if PIT_ASAN
+// A buffer sitting in the recycler stays mapped, so a stale pointer into
+// it would read the next batch's data silently. Poisoning makes the read
+// die at the faulting instruction instead.
+TEST(BufferRecyclerDeath, ReadingACachedBufferIsAnAsanReport) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const BufferRecycleScope scope;
+        const float* stale = nullptr;
+        {
+          const FloatBuffer b(kBig, 1.0F);
+          stale = b.data();
+        }
+        volatile float sink = stale[kBig / 2];
+        (void)sink;
+      },
+      "AddressSanitizer");
+}
+#endif
 
 }  // namespace
 }  // namespace pit
