@@ -38,8 +38,8 @@ int main() {
         model, mae_loss_fn(), *loaders.train, *loaders.val,
         model.parameters(), opts);
     plain_seconds = result.seconds;
-    std::printf("No-NAS training: %6.1f s (val MAE %.3f, %d epochs)\n",
-                result.seconds, result.best_val_loss, result.epochs_run);
+    std::printf("No-NAS training: %7.1f ms (val MAE %.3f, %d epochs)\n",
+                1e3 * result.seconds, result.best_val_loss, result.epochs_run);
   }
 
   // --- PIT: one full Algorithm-1 run. --------------------------------------
@@ -59,12 +59,12 @@ int main() {
                                   mae_loss_fn(), opts);
     const auto result = trainer.run(*loaders.train, *loaders.val);
     pit_seconds = result.total_seconds;
-    std::printf("PIT search:      %6.1f s (val MAE %.3f, dilations %s)\n",
-                result.total_seconds, result.val_loss,
+    std::printf("PIT search:      %7.1f ms (val MAE %.3f, dilations %s)\n",
+                1e3 * result.total_seconds, result.val_loss,
                 dilation_string(result.dilations).c_str());
-    std::printf("  phases: warmup %.1f s, pruning %.1f s, fine-tune %.1f s\n",
-                result.warmup_seconds, result.prune_seconds,
-                result.finetune_seconds);
+    std::printf("  phases: warmup %.1f ms, pruning %.1f ms, fine-tune %.1f ms\n",
+                1e3 * result.warmup_seconds, 1e3 * result.prune_seconds,
+                1e3 * result.finetune_seconds);
   }
 
   // --- ProxylessNAS: supernet search over the same space. -----------------
@@ -86,9 +86,9 @@ int main() {
     pit::nas::ProxylessTrainer trainer(supernet, layers, mae_loss_fn(), opts);
     const auto result = trainer.run(*loaders.train, *loaders.val);
     proxyless_seconds = result.total_seconds;
-    std::printf("ProxylessNAS:    %6.1f s (val MAE %.3f, dilations %s, "
+    std::printf("ProxylessNAS:    %7.1f ms (val MAE %.3f, dilations %s, "
                 "%d search epochs)\n",
-                result.total_seconds, result.val_loss,
+                1e3 * result.total_seconds, result.val_loss,
                 dilation_string(result.dilations).c_str(),
                 result.search_epochs);
   }

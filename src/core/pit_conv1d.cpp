@@ -101,14 +101,21 @@ Tensor masked_causal_conv1d(const Tensor& x, const Tensor& weight,
             });
           }
           if (m_needs) {
-            // One serial reduction over pairs per tap; taps split.
+            // One serial reduction over pairs per tap; blocks of taps
+            // split, a block's chains advance together.
             float* mg = grad_span(*tm.impl()).data();
-            parallel_for(dims.k, work, [&](index_t i) {
-              float acc = 0.0F;
+            const index_t k = dims.k;
+            parallel_for_blocks(k, work, [&](auto chains, index_t i0) {
+              constexpr index_t K = decltype(chains)::value;
+              float acc[K] = {};
               for (index_t p = 0; p < pairs; ++p) {
-                acc += de[p * dims.k + i] * wd[p * dims.k + i];
+                for (index_t j = 0; j < K; ++j) {
+                  acc[j] += de[p * k + i0 + j] * wd[p * k + i0 + j];
+                }
               }
-              mg[i] += acc;
+              for (index_t j = 0; j < K; ++j) {
+                mg[i0 + j] += acc[j];
+              }
             });
           }
         }

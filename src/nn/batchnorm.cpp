@@ -1,13 +1,132 @@
 #include "nn/batchnorm.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/autograd.hpp"
 #include "tensor/error.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
 
 namespace pit::nn {
+
+namespace {
+
+// Every loop here follows tensor/parallel.hpp: a block of K channels runs
+// on one thread, and each channel's sums advance in the serial (n, t)
+// order, in double, from the same float terms as the plain per-channel
+// loop, so the results are that loop's bit for bit.
+
+/// Samples per channel the backward stages on the stack per pass
+/// (2 * kChainBlock * kStageSamples doubles: 16 KiB).
+constexpr index_t kStageSamples = 256;
+
+/// Batch mean and (biased) variance of channels [c0, c0 + K).
+template <index_t K>
+void batch_stats(const float* xd, index_t n, index_t c, index_t t, index_t c0,
+                 float* mean, float* var) {
+  const auto m = static_cast<double>(n * t);
+  double acc[K] = {};
+  for (index_t ni = 0; ni < n; ++ni) {
+    const float* rows = xd + (ni * c + c0) * t;
+    for (index_t ti = 0; ti < t; ++ti) {
+      for (index_t j = 0; j < K; ++j) {
+        acc[j] += rows[j * t + ti];
+      }
+    }
+  }
+  for (index_t j = 0; j < K; ++j) {
+    mean[j] = static_cast<float>(acc[j] / m);
+  }
+  double vacc[K] = {};
+  for (index_t ni = 0; ni < n; ++ni) {
+    const float* rows = xd + (ni * c + c0) * t;
+    for (index_t ti = 0; ti < t; ++ti) {
+      for (index_t j = 0; j < K; ++j) {
+        const double dlt = rows[j * t + ti] - mean[j];
+        vacc[j] += dlt * dlt;
+      }
+    }
+  }
+  for (index_t j = 0; j < K; ++j) {
+    var[j] = static_cast<float>(vacc[j] / m);
+  }
+}
+
+/// dy where y > 0, else +0: the fused ReLU's gradient. Written as a
+/// bit-and with the compare mask, not as `y > 0 ? dy : 0`, so dy is read
+/// unconditionally and the loops below vectorize instead of branching on
+/// every element's sign.
+inline float relu_grad(float y, float dy) {
+  const std::uint32_t keep = y > 0.0F ? 0xFFFFFFFFU : 0U;
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(dy) & keep);
+}
+
+/// y = g * (x - mean) * is + b over one row, then relu_value if `relu`.
+void normalize_row(const float* __restrict x, float* __restrict y,
+                   index_t count, float g, float mean, float is, float b,
+                   bool relu) {
+  if (relu) {
+    for (index_t i = 0; i < count; ++i) {
+      y[i] = relu_value(g * (x[i] - mean) * is + b);
+    }
+  } else {
+    for (index_t i = 0; i < count; ++i) {
+      y[i] = g * (x[i] - mean) * is + b;
+    }
+  }
+}
+
+/// Stages one row segment's backward terms as doubles: d = dy masked by
+/// the fused ReLU (y > 0; `y` is null without it) and d * x-hat.
+void stage_row(const float* __restrict dy, const float* __restrict y,
+               const float* __restrict x, index_t count, float mean, float is,
+               double* __restrict d_out, double* __restrict dx_out) {
+  if (y != nullptr) {
+    for (index_t i = 0; i < count; ++i) {
+      const float d = relu_grad(y[i], dy[i]);
+      d_out[i] = d;
+      dx_out[i] = d * ((x[i] - mean) * is);
+    }
+  } else {
+    for (index_t i = 0; i < count; ++i) {
+      d_out[i] = dy[i];
+      dx_out[i] = dy[i] * ((x[i] - mean) * is);
+    }
+  }
+}
+
+/// dx += scale * (mf * d - sum_dy - xhat * sum_dy_xhat) over one row,
+/// scale = g * is / m (training: the batch statistics depend on x), with
+/// d masked as in stage_row.
+template <bool kRelu>
+void input_grad_row(const float* __restrict dy, const float* __restrict y,
+                    const float* __restrict x, float* __restrict dx,
+                    index_t count, float mean, float is, float scale, float mf,
+                    float sum_dy, float sum_dy_xhat) {
+  for (index_t i = 0; i < count; ++i) {
+    const float d = kRelu ? relu_grad(y[i], dy[i]) : dy[i];
+    const float xhat = (x[i] - mean) * is;
+    dx[i] += scale * (mf * d - sum_dy - xhat * sum_dy_xhat);
+  }
+}
+
+/// dx += scale * d over one row, scale = g * is (eval: the statistics
+/// are constants).
+template <bool kRelu>
+void input_grad_row_eval(const float* __restrict dy,
+                         const float* __restrict y, float* __restrict dx,
+                         index_t count, float scale) {
+  for (index_t i = 0; i < count; ++i) {
+    const float d = kRelu ? relu_grad(y[i], dy[i]) : dy[i];
+    dx[i] += scale * d;
+  }
+}
+
+}  // namespace
 
 BatchNorm1d::BatchNorm1d(index_t num_features, float eps, float momentum)
     : num_features_(num_features), eps_(eps), momentum_(momentum) {
@@ -54,49 +173,31 @@ Tensor BatchNorm1d::forward_impl(const Tensor& input, bool fuse_relu) {
   float* rm = running_mean_.data();
   float* rv = running_var_.data();
 
-  // One channel per iteration: its statistics (double accumulators in
-  // serial (n, t) order), running-statistic update and normalization.
-  parallel_for(c, n * c * t, [&](index_t ci) {
-    float var = 0.0F;
+  // One block of channels per iteration: statistics, running-statistic
+  // update and normalization.
+  parallel_for_blocks(c, n * c * t, [&](auto chains, index_t c0) {
+    constexpr index_t K = decltype(chains)::value;
+    float var[K] = {};
     if (training) {
-      double acc = 0.0;
-      for (index_t ni = 0; ni < n; ++ni) {
-        const float* xrow = xd + (ni * c + ci) * t;
-        for (index_t ti = 0; ti < t; ++ti) {
-          acc += xrow[ti];
-        }
-      }
-      mu[ci] = static_cast<float>(acc / static_cast<double>(m));
-      double vacc = 0.0;
-      for (index_t ni = 0; ni < n; ++ni) {
-        const float* xrow = xd + (ni * c + ci) * t;
-        for (index_t ti = 0; ti < t; ++ti) {
-          const double dlt = xrow[ti] - mu[ci];
-          vacc += dlt * dlt;
-        }
-      }
-      var = static_cast<float>(vacc / static_cast<double>(m));
-      // Update running statistics (unbiased variance, as in PyTorch).
-      rm[ci] = (1.0F - momentum_) * rm[ci] + momentum_ * mu[ci];
-      const float unbiased =
-          m > 1 ? var * static_cast<float>(m) / static_cast<float>(m - 1)
-                : var;
-      rv[ci] = (1.0F - momentum_) * rv[ci] + momentum_ * unbiased;
-    } else {
-      mu[ci] = rm[ci];
-      var = rv[ci];
+      batch_stats<K>(xd, n, c, t, c0, &mu[c0], var);
     }
-    inv_std[ci] = 1.0F / std::sqrt(var + eps_);
-
-    const float g = gd[ci];
-    const float b = bd[ci];
-    const float mean_c = mu[ci];
-    const float is = inv_std[ci];
-    for (index_t ni = 0; ni < n; ++ni) {
-      const index_t row = (ni * c + ci) * t;
-      for (index_t ti = 0; ti < t; ++ti) {
-        const float y = g * (xd[row + ti] - mean_c) * is + b;
-        od[row + ti] = fuse_relu && !(y > 0.0F) ? 0.0F : y;
+    for (index_t j = 0; j < K; ++j) {
+      const index_t ci = c0 + j;
+      if (training) {
+        // Update running statistics (unbiased variance, as in PyTorch).
+        rm[ci] = (1.0F - momentum_) * rm[ci] + momentum_ * mu[ci];
+        const float unbiased =
+            var[j] * static_cast<float>(m) / static_cast<float>(m - 1);
+        rv[ci] = (1.0F - momentum_) * rv[ci] + momentum_ * unbiased;
+      } else {
+        mu[ci] = rm[ci];
+        var[j] = rv[ci];
+      }
+      inv_std[ci] = 1.0F / std::sqrt(var[j] + eps_);
+      for (index_t ni = 0; ni < n; ++ni) {
+        const index_t row = (ni * c + ci) * t;
+        normalize_row(xd + row, od + row, t, gd[ci], mu[ci], inv_std[ci],
+                      bd[ci], fuse_relu);
       }
     }
   });
@@ -112,7 +213,8 @@ Tensor BatchNorm1d::forward_impl(const Tensor& input, bool fuse_relu) {
       [tx, tg, tb, mu, inv_std, n, c, t, m, training,
        fuse_relu](TensorImpl& o) {
         const float* dy = o.grad.data();
-        const float* yd = o.data.data();
+        // The ReLU's gradient is dy where the output is positive, else 0.
+        const float* yd = fuse_relu ? o.data.data() : nullptr;
         const float* xd2 = tx.data();
         const float* gd2 = tg.data();
         const bool x_needs =
@@ -125,49 +227,70 @@ Tensor BatchNorm1d::forward_impl(const Tensor& input, bool fuse_relu) {
         float* gg = g_needs ? grad_span(*tg.impl()).data() : nullptr;
         float* bg = b_needs ? grad_span(*tb.impl()).data() : nullptr;
         float* xg = x_needs ? grad_span(*tx.impl()).data() : nullptr;
-        // The ReLU's gradient is dy where the output is positive, else 0.
-        auto dy_at = [dy, yd, fuse_relu](index_t idx) {
-          return fuse_relu && !(yd[idx] > 0.0F) ? 0.0F : dy[idx];
-        };
 
-        parallel_for(c, n * c * t, [&](index_t ci) {
-          const float mean_c = mu[ci];
-          const float is = inv_std[ci];
-          // Channel-wise reductions shared by all gradient formulas.
-          double sum_dy = 0.0;
-          double sum_dy_xhat = 0.0;
-          for (index_t ni = 0; ni < n; ++ni) {
-            for (index_t ti = 0; ti < t; ++ti) {
-              const index_t idx = (ni * c + ci) * t + ti;
-              const float xhat = (xd2[idx] - mean_c) * is;
-              const float d = dy_at(idx);
-              sum_dy += d;
-              sum_dy_xhat += d * xhat;
+        parallel_for_blocks(c, n * c * t, [&](auto chains, index_t c0) {
+          constexpr index_t K = decltype(chains)::value;
+          // Channel-wise reductions shared by all gradient formulas. Each
+          // pass stages kStageSamples samples of every channel's terms,
+          // then advances the 2K sums over them.
+          double sum_dy[K] = {};
+          double sum_dy_xhat[K] = {};
+          // Left uninitialized: each pass writes [0, len) before reading.
+          double d_stage[K][kStageSamples];
+          double dx_stage[K][kStageSamples];
+          for (index_t s0 = 0; s0 < m; s0 += kStageSamples) {
+            const index_t len = std::min(kStageSamples, m - s0);
+            for (index_t j = 0; j < K; ++j) {
+              const index_t ci = c0 + j;
+              // Sample s is element (s / t, ci, s % t); walk the range
+              // as contiguous row segments.
+              for (index_t k = 0; k < len;) {
+                const index_t s = s0 + k;
+                const index_t count = std::min(t - s % t, len - k);
+                const index_t idx = ((s / t) * c + ci) * t + s % t;
+                stage_row(dy + idx, yd != nullptr ? yd + idx : nullptr,
+                          xd2 + idx, count, mu[ci], inv_std[ci],
+                          &d_stage[j][k], &dx_stage[j][k]);
+                k += count;
+              }
+            }
+            for (index_t i = 0; i < len; ++i) {
+              for (index_t j = 0; j < K; ++j) {
+                sum_dy[j] += d_stage[j][i];
+                sum_dy_xhat[j] += dx_stage[j][i];
+              }
             }
           }
-          if (gg != nullptr) {
-            gg[ci] += static_cast<float>(sum_dy_xhat);
-          }
-          if (bg != nullptr) {
-            bg[ci] += static_cast<float>(sum_dy);
-          }
-          if (xg != nullptr) {
+          for (index_t j = 0; j < K; ++j) {
+            const index_t ci = c0 + j;
+            if (gg != nullptr) {
+              gg[ci] += static_cast<float>(sum_dy_xhat[j]);
+            }
+            if (bg != nullptr) {
+              bg[ci] += static_cast<float>(sum_dy[j]);
+            }
+            if (xg == nullptr) {
+              continue;
+            }
             const float g = gd2[ci];
+            const float is = inv_std[ci];
             const auto mf = static_cast<float>(m);
             for (index_t ni = 0; ni < n; ++ni) {
-              for (index_t ti = 0; ti < t; ++ti) {
-                const index_t idx = (ni * c + ci) * t + ti;
-                const float xhat = (xd2[idx] - mean_c) * is;
-                const float d = dy_at(idx);
-                if (training) {
-                  // Full batch-norm backward (batch statistics depend on x).
-                  xg[idx] += g * is / mf *
-                             (mf * d - static_cast<float>(sum_dy) -
-                              xhat * static_cast<float>(sum_dy_xhat));
-                } else {
-                  // Eval mode: statistics are constants.
-                  xg[idx] += g * is * d;
-                }
+              const index_t row = (ni * c + ci) * t;
+              const float* yrow = yd != nullptr ? yd + row : nullptr;
+              const auto sdy = static_cast<float>(sum_dy[j]);
+              const auto sdx = static_cast<float>(sum_dy_xhat[j]);
+              if (training && fuse_relu) {
+                input_grad_row<true>(dy + row, yrow, xd2 + row, xg + row, t,
+                                     mu[ci], is, g * is / mf, mf, sdy, sdx);
+              } else if (training) {
+                input_grad_row<false>(dy + row, yrow, xd2 + row, xg + row, t,
+                                      mu[ci], is, g * is / mf, mf, sdy, sdx);
+              } else if (fuse_relu) {
+                input_grad_row_eval<true>(dy + row, yrow, xg + row, t, g * is);
+              } else {
+                input_grad_row_eval<false>(dy + row, yrow, xg + row, t,
+                                           g * is);
               }
             }
           }

@@ -2,6 +2,7 @@
 // come from the registry's binding for the problem's geometry, so autograd
 // runs the same ISA level as a compiled plan's strided conv.
 #include "nn/kernels/registry.hpp"
+#include "tensor/parallel.hpp"
 
 namespace pit::nn::kernels {
 
@@ -25,7 +26,23 @@ void conv_backward_weight(const float* dy, const float* x, float* dw,
 }
 
 void conv_backward_bias(const float* dy, float* db, const ConvDims& d) {
-  scalar::conv_backward_bias(dy, db, d);
+  const index_t t_out = d.t_out;
+  parallel_for_blocks(
+      d.c_out, d.n * d.c_out * t_out, [&](auto chains, index_t c0) {
+        constexpr index_t K = decltype(chains)::value;
+        for (index_t n = 0; n < d.n; ++n) {
+          const float* rows = dy + (n * d.c_out + c0) * t_out;
+          float acc[K] = {};
+          for (index_t t = 0; t < t_out; ++t) {
+            for (index_t j = 0; j < K; ++j) {
+              acc[j] += rows[j * t_out + t];
+            }
+          }
+          for (index_t j = 0; j < K; ++j) {
+            db[c0 + j] += acc[j];
+          }
+        }
+      });
 }
 
 index_t packed_weight_floats(const ConvDims& d) {

@@ -68,7 +68,10 @@ void conv_backward_input(const float* dy, const float* w, float* dx,
 void conv_backward_weight(const float* dy, const float* x, float* dw,
                           const ConvDims& d);
 
-/// db[co] += sum_{n,t} dy[n,co,t]. Memory-bound; no blocked variant.
+/// db[co] += sum_t dy[n,co,t], once per n in increasing n order (a float
+/// sum per row). Bound by the latency of each row's add chain, not by
+/// memory: it splits channel blocks over the OpenMP pool and interleaves
+/// a block's chains (tensor/parallel.hpp). No registry binding.
 void conv_backward_bias(const float* dy, float* db, const ConvDims& d);
 
 // ---- fp32 inference layout (frozen runtime) ----------------------------
@@ -144,7 +147,6 @@ void conv_backward_input(const float* dy, const float* w, float* dx,
                          const ConvDims& d);
 void conv_backward_weight(const float* dy, const float* x, float* dw,
                           const ConvDims& d);
-void conv_backward_bias(const float* dy, float* db, const ConvDims& d);
 }  // namespace scalar
 
 }  // namespace pit::nn::kernels

@@ -111,17 +111,4 @@ void conv_backward_weight(const float* dy, const float* x, float* dw,
   }
 }
 
-void conv_backward_bias(const float* dy, float* db, const ConvDims& d) {
-  for (index_t n = 0; n < d.n; ++n) {
-    for (index_t co = 0; co < d.c_out; ++co) {
-      const float* dyrow = dy + (n * d.c_out + co) * d.t_out;
-      float acc = 0.0F;
-      for (index_t t = 0; t < d.t_out; ++t) {
-        acc += dyrow[t];
-      }
-      db[co] += acc;
-    }
-  }
-}
-
 }  // namespace pit::nn::kernels::scalar

@@ -29,17 +29,26 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
   const float* wd = weight.data();
   const float* bd = bias.defined() ? bias.data() : nullptr;
   float* od = out.data();
-  // Every (i, j) output is its own serial dot product.
-  parallel_for(n * o, n * o * f, [&](index_t ij) {
-    const index_t i = ij / o;
-    const index_t j = ij % o;
-    const float* xrow = xd + i * f;
-    const float* wrow = wd + j * f;
-    float acc = bd != nullptr ? bd[j] : 0.0F;
-    for (index_t p = 0; p < f; ++p) {
-      acc += xrow[p] * wrow[p];
+  // Every (i, j) output is its own serial dot product; a block of rows
+  // advances its K dot products with one weight row together.
+  parallel_for_blocks(n, n * o * f, [&](auto chains, index_t i0) {
+    constexpr index_t K = decltype(chains)::value;
+    const float* xrows = xd + i0 * f;
+    for (index_t j = 0; j < o; ++j) {
+      const float* wrow = wd + j * f;
+      float acc[K];
+      for (index_t r = 0; r < K; ++r) {
+        acc[r] = bd != nullptr ? bd[j] : 0.0F;
+      }
+      for (index_t p = 0; p < f; ++p) {
+        for (index_t r = 0; r < K; ++r) {
+          acc[r] += xrows[r * f + p] * wrow[p];
+        }
+      }
+      for (index_t r = 0; r < K; ++r) {
+        od[(i0 + r) * o + j] = acc[r];
+      }
     }
-    od[ij] = acc;
   });
 
   const Tensor tx = x;

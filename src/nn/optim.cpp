@@ -1,5 +1,6 @@
 #include "nn/optim.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/error.hpp"
@@ -54,6 +55,40 @@ void SGD::step() {
   }
 }
 
+namespace {
+
+/// Most elements of one Adam chunk.
+constexpr index_t kAdamChunk = 4096;
+
+struct AdamCoeffs {
+  double beta1, beta2, one_minus_beta1, one_minus_beta2;
+  double bc1, bc2, lr, eps, lr_decay;
+};
+
+/// One Adam update of `count` elements. Built with -fno-math-errno (see
+/// CMakeLists.txt), so the square root vectorizes; it is only taken of a
+/// non-negative vhat, where errno is never set, so no value changes.
+template <bool kDecay>
+void adam_update(float* __restrict p, const float* __restrict g,
+                 float* __restrict m, float* __restrict v, index_t count,
+                 const AdamCoeffs& k) {
+  for (index_t j = 0; j < count; ++j) {
+    const double grad = g[j];
+    m[j] = static_cast<float>(k.beta1 * m[j] + k.one_minus_beta1 * grad);
+    v[j] = static_cast<float>(k.beta2 * v[j] +
+                              k.one_minus_beta2 * grad * grad);
+    const double mhat = m[j] / k.bc1;
+    const double vhat = v[j] / k.bc2;
+    double update = k.lr * mhat / (std::sqrt(vhat) + k.eps);
+    if (kDecay) {
+      update += k.lr_decay * p[j];  // decoupled (AdamW)
+    }
+    p[j] -= static_cast<float>(update);
+  }
+}
+
+}  // namespace
+
 Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
            double eps, double weight_decay)
     : Optimizer(std::move(params)),
@@ -62,39 +97,60 @@ Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
       eps_(eps),
       weight_decay_(weight_decay) {
   lr_ = lr;
-  m_.resize(params_.size());
-  v_.resize(params_.size());
+  offsets_.push_back(0);
+  for (const Tensor& p : params_) {
+    const auto count = static_cast<std::size_t>(p.numel());
+    m_.emplace_back(count, 0.0F);
+    v_.emplace_back(count, 0.0F);
+    offsets_.push_back(offsets_.back() + p.numel());
+  }
 }
 
 void Adam::step() {
   ++step_count_;
-  const double bc1 = 1.0 - std::pow(beta1_, step_count_);
-  const double bc2 = 1.0 - std::pow(beta2_, step_count_);
+  const AdamCoeffs k{.beta1 = beta1_,
+                     .beta2 = beta2_,
+                     .one_minus_beta1 = 1.0 - beta1_,
+                     .one_minus_beta2 = 1.0 - beta2_,
+                     .bc1 = 1.0 - std::pow(beta1_, step_count_),
+                     .bc2 = 1.0 - std::pow(beta2_, step_count_),
+                     .lr = lr_,
+                     .eps = eps_,
+                     .lr_decay = lr_ * weight_decay_};
+  // Pointers are taken (and missing gradients allocated) before the fork.
+  std::vector<float*> values(params_.size());
+  std::vector<const float*> grads(params_.size());
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    auto pv = p.span();
-    const float* g = p.grad_data();
-    auto& m = m_[i];
-    auto& v = v_[i];
-    if (m.empty()) {
-      m.assign(pv.size(), 0.0F);
-      v.assign(pv.size(), 0.0F);
-    }
-    // Elements update independently: split them.
-    const auto count = static_cast<index_t>(pv.size());
-    parallel_for(count, count, [&](index_t j) {
-      const double grad = g[j];
-      m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * grad);
-      v[j] = static_cast<float>(beta2_ * v[j] + (1.0 - beta2_) * grad * grad);
-      const double mhat = m[j] / bc1;
-      const double vhat = v[j] / bc2;
-      double update = lr_ * mhat / (std::sqrt(vhat) + eps_);
-      if (weight_decay_ != 0.0) {
-        update += lr_ * weight_decay_ * pv[j];  // decoupled (AdamW)
-      }
-      pv[j] -= static_cast<float>(update);
-    });
+    values[i] = params_[i].data();
+    grads[i] = params_[i].grad_data();
   }
+  // Elements update independently: split all parameters' elements into
+  // equal chunks; a chunk may span several (small) parameters.
+  const bool decay = weight_decay_ != 0.0;
+  const index_t total = offsets_.back();
+  const index_t chunks = (total + kAdamChunk - 1) / kAdamChunk;
+  parallel_for(chunks, total, [&](index_t c) {
+    index_t lo = c * kAdamChunk;
+    const index_t hi = std::min(total, lo + kAdamChunk);
+    // The last parameter that starts at or before lo holds it.
+    auto i = static_cast<std::size_t>(
+        std::upper_bound(offsets_.begin(), offsets_.end(), lo) -
+        offsets_.begin() - 1);
+    for (; lo < hi; ++i) {
+      const index_t b = lo - offsets_[i];
+      const index_t count = std::min(hi, offsets_[i + 1]) - lo;
+      float* p = values[i] + b;
+      const float* g = grads[i] + b;
+      float* m = m_[i].data() + b;
+      float* v = v_[i].data() + b;
+      if (decay) {
+        adam_update<true>(p, g, m, v, count, k);
+      } else {
+        adam_update<false>(p, g, m, v, count, k);
+      }
+      lo += count;
+    }
+  });
 }
 
 }  // namespace pit::nn

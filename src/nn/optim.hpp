@@ -56,6 +56,10 @@ class Adam : public Optimizer {
   long step_count_ = 0;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
+  /// offsets_[i] is the number of elements in parameters [0, i); the
+  /// last entry is the total. One OpenMP region updates all parameters
+  /// as equal chunks of this concatenated element range.
+  std::vector<index_t> offsets_;
 };
 
 }  // namespace pit::nn

@@ -6,6 +6,42 @@
 
 namespace pit::nn {
 
+namespace {
+
+/// y[to] = (0 + x[to * stride] + ... + x[to * stride + kernel - 1]) / kernel
+/// over one row. Every window's sum keeps its serial order; the loop over
+/// windows is innermost, so the windows' chains advance together.
+void avg_pool_row(const float* __restrict x, float* __restrict y,
+                  index_t t_out, index_t kernel, index_t stride, float inv_k) {
+  for (index_t to = 0; to < t_out; ++to) {
+    y[to] = 0.0F;
+  }
+  for (index_t k = 0; k < kernel; ++k) {
+    for (index_t to = 0; to < t_out; ++to) {
+      y[to] += x[to * stride + k];
+    }
+  }
+  for (index_t to = 0; to < t_out; ++to) {
+    y[to] *= inv_k;
+  }
+}
+
+/// dx[to * stride + k] += dy[to] / kernel for every window of one row, in
+/// window order (overlapping windows add to an element in `to` order).
+/// The rows are restrict-qualified: a gradient never aliases its input's.
+void avg_pool_backward_row(const float* __restrict dy, float* __restrict dx,
+                           index_t t_out, index_t kernel, index_t stride,
+                           float inv_k) {
+  for (index_t to = 0; to < t_out; ++to) {
+    const float g = dy[to] * inv_k;
+    for (index_t k = 0; k < kernel; ++k) {
+      dx[to * stride + k] += g;
+    }
+  }
+}
+
+}  // namespace
+
 Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
   PIT_CHECK(x.rank() == 3,
             "avg_pool1d: input must be (N, C, T), got "
@@ -24,15 +60,8 @@ Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
   const float inv_k = 1.0F / static_cast<float>(kernel);
   // Rows (one (n, c) pair each) are independent: split them.
   parallel_for(n * c, n * c * t_in, [&](index_t row) {
-    const float* xrow = xd + row * t_in;
-    float* orow = od + row * t_out;
-    for (index_t to = 0; to < t_out; ++to) {
-      float acc = 0.0F;
-      for (index_t k = 0; k < kernel; ++k) {
-        acc += xrow[to * stride + k];
-      }
-      orow[to] = acc * inv_k;
-    }
+    avg_pool_row(xd + row * t_in, od + row * t_out, t_out, kernel, stride,
+                 inv_k);
   });
 
   const Tensor tx = x;
@@ -46,14 +75,8 @@ Tensor avg_pool1d(const Tensor& x, index_t kernel, index_t stride) {
         const float inv_k = 1.0F / static_cast<float>(kernel);
         const float* dy = o.grad.data();
         parallel_for(n * c, n * c * t_in, [&](index_t row) {
-          float* xgrow = xg + row * t_in;
-          const float* dyrow = dy + row * t_out;
-          for (index_t to = 0; to < t_out; ++to) {
-            const float g = dyrow[to] * inv_k;
-            for (index_t k = 0; k < kernel; ++k) {
-              xgrow[to * stride + k] += g;
-            }
-          }
+          avg_pool_backward_row(dy + row * t_out, xg + row * t_in, t_out,
+                                kernel, stride, inv_k);
         });
       });
 }

@@ -173,7 +173,7 @@ Tensor neg(const Tensor& a) {
 
 Tensor relu(const Tensor& a) {
   return unary_op(
-      a, "relu", [](float x) { return x > 0.0F ? x : 0.0F; },
+      a, "relu", [](float x) { return relu_value(x); },
       [](float x, float) { return x > 0.0F ? 1.0F : 0.0F; });
 }
 

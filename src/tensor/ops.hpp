@@ -22,6 +22,11 @@ Tensor mul_scalar(const Tensor& a, float s);
 
 // ---- Unary ---------------------------------------------------------------
 Tensor neg(const Tensor& a);
+/// ReLU of one value: x where x > 0, +0 for every other number (-0
+/// included), and NaN stays NaN, so an element an op left unwritten (NaN
+/// in Debug and ASan builds) still reaches the loss.
+inline float relu_value(float x) { return x > 0.0F || x != x ? x : 0.0F; }
+/// Element-wise relu_value; its gradient is dy where x > 0, else 0.
 Tensor relu(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
 Tensor tanh_op(const Tensor& a);

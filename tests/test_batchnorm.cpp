@@ -194,6 +194,29 @@ TEST(BatchNorm, FusedReluGradcheck) {
   }
 }
 
+TEST(BatchNorm, FusedReluKeepsNanVisible) {
+  // A NaN input (an unwritten recycled element in Debug and ASan builds)
+  // must reach the output through the ReLU, fused or not, in train and
+  // eval mode, under and over the parallel gate.
+  for (const bool training : {true, false}) {
+    for (const Shape& shape : {Shape{4, 3, 8}, Shape{32, 16, 64}}) {
+      BatchNorm1d bn(shape[1]);
+      if (!training) {
+        bn.eval();
+      }
+      RandomEngine rng(127);
+      Tensor x = Tensor::uniform(shape, -2.0F, 2.0F, rng);
+      x.data()[shape[2] + 1] = std::nanf("");  // sample 0, channel 1
+      for (const bool fused : {false, true}) {
+        const Tensor y = fused ? bn.forward_relu(x) : relu(bn.forward(x));
+        EXPECT_TRUE(std::isnan(y.data()[shape[2] + 1]))
+            << (training ? "train" : "eval") << (fused ? " fused" : "");
+        EXPECT_FALSE(std::isnan(y.data()[0]));  // channel 0 is untouched
+      }
+    }
+  }
+}
+
 TEST(BatchNorm, UnbackwardedGraphIsFreed) {
   // The node reads its output through the impl it is handed, not by
   // capture, so dropping the output frees the whole graph.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -65,6 +66,31 @@ TEST(Ops, UnaryValues) {
   EXPECT_NEAR(exp_op(a).data()[0], std::exp(-1.0F), 1e-6);
   EXPECT_FLOAT_EQ(abs_op(a).data()[0], 1.0F);
   EXPECT_FLOAT_EQ(square(a).data()[2], 4.0F);
+}
+
+TEST(Ops, ReluKeepsNanAndMapsEveryOtherNonPositiveToPositiveZero) {
+  // Over the parallel gate and under it: the same element-wise rule.
+  for (const index_t count : {index_t{7}, kParallelMinWork + 3}) {
+    std::vector<float> in(static_cast<std::size_t>(count));
+    const float specials[] = {std::nanf(""), -0.0F, 0.0F, -1.5F, 2.5F,
+                              -INFINITY,     INFINITY};
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = i < 7 ? specials[i] : static_cast<float>(i % 11) - 5.0F;
+    }
+    const Tensor out = relu(Tensor::from_vector(in, Shape{count}));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const float x = in[i];
+      const float y = out.data()[i];
+      if (std::isnan(x)) {
+        EXPECT_TRUE(std::isnan(y)) << i;
+      } else if (x > 0.0F) {
+        EXPECT_EQ(std::memcmp(&x, &y, sizeof(float)), 0) << i;
+      } else {
+        EXPECT_EQ(y, 0.0F) << i;
+        EXPECT_FALSE(std::signbit(y)) << i;
+      }
+    }
+  }
 }
 
 TEST(Ops, LogAndSqrtValues) {

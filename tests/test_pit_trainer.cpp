@@ -13,6 +13,7 @@
 #include <omp.h>
 #endif
 
+#include <cmath>
 #include <cstring>
 
 #include "core/search.hpp"
@@ -280,6 +281,9 @@ TEST(PitTrainer, BitIdenticalAtOneTwoAndFourThreads) {
     for (std::size_t e = 0; e < one.result.history.size(); ++e) {
       const EpochStats& a = one.result.history[e];
       const EpochStats& b = many.result.history[e];
+      // Two NaN losses would compare equal bit for bit.
+      EXPECT_TRUE(std::isfinite(a.train_loss)) << "epoch " << e;
+      EXPECT_TRUE(std::isfinite(a.val_loss)) << "epoch " << e;
       EXPECT_EQ(std::memcmp(&a.train_loss, &b.train_loss, sizeof(double)), 0)
           << "epoch " << e << ", " << threads << " threads";
       EXPECT_EQ(std::memcmp(&a.val_loss, &b.val_loss, sizeof(double)), 0)
