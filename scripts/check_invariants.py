@@ -14,28 +14,13 @@ the executors assume but no compiler enforces:
    There are no exemptions: kernel selection lives entirely in the
    immutable registry.
 
-2. serve-lock-order — src/serve, src/net, and the plan registry their
-   sessions pin versions through acquire their mutexes in one global
-   order (lifecycle_mutex_ -> tick_mutex_ -> shard.mutex -> mutex_ ->
-   pool_mutex_ -> slot->mutex -> cache_mutex -> entry->swap_mutex ->
-   registry_mutex_ -> completions_mutex). shard.mutex is one
-   SessionManager registry stripe; stripes share a rank, so holding two
-   shard mutexes at once is itself a violation of the design (every
-   sweep locks one shard at a time) — the scanner flags same-rank
-   nesting for it. cache_mutex is the session allocator's per-shard
-   cache lock; it ranks after slot->mutex because context growth during
-   a step allocates while the slot is locked, and it takes nothing
-   itself. The registry ranks strictly after serve because an
-   InflightTicket release may run under a slot mutex; registry methods
-   never take serve locks. The front end brackets the order:
-   lifecycle_mutex_ (FrontEnd start/stop serialization) ranks first —
-   stop() joins the event loop, which may take any serve lock — and
-   completions_mutex (the SUBMIT completion queue) ranks last because
-   it is a strict leaf: a server worker takes it holding no serve lock,
-   and nothing is ever acquired under it. A nested acquisition that
-   goes DOWN that order is a lock-inversion deadlock waiting for the
-   right interleaving. Tracked per function body with brace-scope
-   guard lifetimes.
+2. ranked-mutexes — every mutex member in src/serve, src/net and
+   src/runtime is a RankedMutex (runtime/lock_rank.hpp), whose LockRank
+   enum states the lock order once and whose lock()/try_lock() check it
+   at run time. A bare std::mutex member there would escape that check.
+   runtime/lock_rank.hpp itself wraps the one std::mutex it may hold.
+   Exempt by location: core/search.cpp's io_mutex, a print lock in the
+   training layer that takes no serving lock.
 
 3. entry-point-checks — the runtime's throwing entry points must keep
    their guard: compile()/quantize() run verify_or_throw on every plan
@@ -45,9 +30,9 @@ the executors assume but no compiler enforces:
 Usage::
 
     check_invariants.py [repo_root]    # default: script's parent repo
-    check_invariants.py --self-test    # prove the scanners catch lock
-                                       # inversions and kernel-layer
-                                       # state (negative tests)
+    check_invariants.py --self-test    # prove the scanners catch bare
+                                       # mutexes and kernel-layer state
+                                       # (negative tests)
 
 Exit 1 with a per-violation report when any rule is broken.
 """
@@ -94,99 +79,28 @@ def check_kernel_state(root, violations):
                           violations)
 
 
-# ---- rule 2: serve lock order ----------------------------------------------
+# ---- rule 2: every serving-stack mutex carries a lock rank ---------------
 
-LOCK_DECL = re.compile(
-    r"std::(?:lock_guard|unique_lock|scoped_lock)<[^>]*>\s+\w+\(([^)]*)\)")
-
-LOCK_RANKS = [
-    # FrontEnd start()/stop() serialization. First in the order because
-    # stop() joins the event loop thread, which can take any serve lock
-    # — so nothing below may ever be held when lifecycle is taken.
-    (re.compile(r"\blifecycle_mutex_\b"), 0, "lifecycle_mutex_"),
-    (re.compile(r"\btick_mutex_\b"), 1, "tick_mutex_"),
-    # A SessionManager registry stripe. Ordered before the generic
-    # slot->mutex pattern (first match wins) and before the tick pool:
-    # step_tick resolves per shard under tick_mutex_, then hands off.
-    (re.compile(r"\bshard(?:->|\.)mutex\b"), 2, "shard.mutex"),
-    (re.compile(r"(?<![\w.>])mutex_\b"), 3, "mutex_"),
-    (re.compile(r"\bpool_mutex_\b"), 4, "pool_mutex_"),
-    # Matched before the generic slot pattern: "completions_mutex" via a
-    # member access would otherwise be unreachable (it never is today —
-    # the queue is always named — but first-match order should not care).
-    (re.compile(r"\bcompletions_mutex\b"), 9, "completions_mutex"),
-    (re.compile(r"(?:->|\.)mutex\b"), 5, "slot->mutex"),
-    # SessionAllocator's per-shard cache lock: taken during allocation,
-    # which can happen under a slot mutex mid-step; takes nothing itself.
-    (re.compile(r"\bcache_mutex\b"), 6, "cache_mutex"),
-    # PlanRegistry locks rank after every serve lock: a ticket release can
-    # run under a slot mutex, and the registry never calls back into serve.
-    (re.compile(r"(?:->|\.)swap_mutex\b"), 7, "entry->swap_mutex"),
-    (re.compile(r"\bregistry_mutex_\b"), 8, "registry_mutex_"),
-    # The front end's completion queue (rank 9, declared above for
-    # first-match order): a strict leaf — InferenceServer workers take it
-    # holding no server lock, the event loop takes it holding nothing,
-    # and no code acquires anything under it.
-]
-
-LOCK_ORDER_DOC = ("lifecycle_mutex_ -> tick_mutex_ -> shard.mutex -> "
-                  "mutex_ -> pool_mutex_ -> slot->mutex -> cache_mutex "
-                  "-> entry->swap_mutex -> registry_mutex_ -> "
-                  "completions_mutex")
-
-# Ranks where holding two instances at once deadlocks against a peer
-# doing the same in the opposite order (there is one mutex PER SHARD, so
-# the rank alone cannot order two of them).
-SAME_RANK_FORBIDDEN = {2}
+BARE_MUTEX = re.compile(r"^\s*(?:mutable\s+)?std::mutex\s+\w+\s*[;{]")
+RANKED_DIRS = ("src/serve", "src/net", "src/runtime")
+RANK_HEADER = "src/runtime/lock_rank.hpp"
 
 
-def lock_rank(expr):
-    for pattern, rank, name in LOCK_RANKS:
-        if pattern.search(expr):
-            return rank, name
-    return None, expr.strip()
-
-
-def brace_delta(code):
-    return code.count("{") - code.count("}")
-
-
-def scan_lock_order(text, relname, violations):
-    depth = 0
-    held = []  # (decl_depth, rank, name, lineno) of live guards
+def scan_bare_mutex(text, relname, violations):
     for lineno, line in enumerate(text.splitlines(), 1):
-        code = line.split("//")[0]
-        m = LOCK_DECL.search(code)
-        if m:
-            rank, name = lock_rank(m.group(1))
-            if rank is not None:
-                for _, held_rank, held_name, held_line in held:
-                    if held_rank > rank or (held_rank == rank and
-                                            rank in SAME_RANK_FORBIDDEN):
-                        violations.append(
-                            f"{relname}:{lineno}: "
-                            f"serve-lock-order: acquires {name} (rank "
-                            f"{rank}) while holding {held_name} (rank "
-                            f"{held_rank}, line {held_line}) — order "
-                            f"is {LOCK_ORDER_DOC}; two shard mutexes "
-                            f"must never be held at once")
-                held.append((depth, rank, name, lineno))
-            else:
-                violations.append(
-                    f"{relname}:{lineno}: "
-                    f"serve-lock-order: unknown mutex '{name}' — add "
-                    f"it to the lock order in check_invariants.py")
-        depth += brace_delta(code)
-        held = [g for g in held if g[0] <= depth]
+        if BARE_MUTEX.search(line.split("//")[0]):
+            violations.append(
+                f"{relname}:{lineno}: ranked-mutexes: bare std::mutex "
+                f"member — make it a RankedMutex with a LockRank "
+                f"({RANK_HEADER}): {line.strip()}")
 
 
-def check_serve_lock_order(root, violations):
-    paths = sorted((root / "src" / "serve").glob("*.[ch]pp"))
-    paths.extend(sorted((root / "src" / "net").glob("*.[ch]pp")))
-    paths.append(root / "src" / "runtime" / "plan_registry.cpp")
-    for path in paths:
-        scan_lock_order(path.read_text(), str(path.relative_to(root)),
-                        violations)
+def check_ranked_mutexes(root, violations):
+    for rel in RANKED_DIRS:
+        for path in sorted((root / rel).glob("*.[ch]pp")):
+            relname = path.relative_to(root)
+            if relname.as_posix() != RANK_HEADER:
+                scan_bare_mutex(path.read_text(), relname, violations)
 
 
 # ---- rule 3: entry points keep their checks --------------------------------
@@ -245,75 +159,19 @@ def check_entry_points(root, violations):
 
 # ---- self-test: prove the scanners actually catch bugs ---------------------
 
-# (name, snippet, expected number of violations). The snippets are the
-# exact inversions the rule exists to catch; a scanner change that stops
-# flagging them fails CI before a real inversion can slip through.
-SELF_TEST_CASES = [
-    ("correct nesting passes", """
-void ok() {
-  std::lock_guard<std::mutex> tick(tick_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    std::lock_guard<std::mutex> slot_lock(slot->mutex);
-  }
-  std::lock_guard<std::mutex> pool(pool_mutex_);
-}
+# (name, snippet, expected number of violations) for the bare-mutex rule:
+# a plain mutex member is flagged; ranked members and guards over them
+# pass.
+BARE_MUTEX_CASES = [
+    ("bare mutex members are flagged", """
+  std::mutex mutex_;
+  mutable std::mutex registry_mutex_;  // map, memo
+""", 2),
+    ("ranked mutexes and their guards pass", """
+  mutable runtime::RankedMutex<runtime::LockRank::kShard> mutex;
+  std::lock_guard lock(shard.mutex);
+  std::unique_lock<std::mutex> lock(m);
 """, 0),
-    ("scoped release is not a nesting", """
-void ok() {
-  for (auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-  }
-  std::lock_guard<std::mutex> tick(tick_mutex_);
-}
-""", 0),
-    ("slot before shard is an inversion", """
-void bad() {
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-}
-""", 1),
-    ("cache before slot is an inversion", """
-void bad() {
-  std::lock_guard<std::mutex> lock(cache_mutex);
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
-}
-""", 1),
-    ("two shard mutexes at once deadlock", """
-void bad() {
-  std::lock_guard<std::mutex> a(shard.mutex);
-  std::lock_guard<std::mutex> b(shard.mutex);
-}
-""", 1),
-    ("registry lock under a serve lock is fine, reverse is not", """
-void bad() {
-  std::lock_guard<std::mutex> reg(registry_mutex_);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-}
-""", 1),
-    ("unknown mutex is flagged", """
-void bad() {
-  std::lock_guard<std::mutex> lock(mystery_mutex_);
-}
-""", 1),
-    ("completion queue lock under a serve lock is fine", """
-void ok() {
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
-  std::lock_guard<std::mutex> lock(cq->completions_mutex);
-}
-""", 0),
-    ("completions_mutex is a leaf: nothing nests under it", """
-void bad() {
-  std::lock_guard<std::mutex> lock(cq->completions_mutex);
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
-}
-""", 1),
-    ("serve locks never nest under the front-end lifecycle reversal", """
-void bad() {
-  std::lock_guard<std::mutex> tick(tick_mutex_);
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
-}
-""", 1),
 ]
 
 
@@ -347,7 +205,7 @@ index_t twice(index_t g_count) { return g_count * 2; }
 
 def self_test():
     failures = 0
-    cases = ([(n, t, e, scan_lock_order) for n, t, e in SELF_TEST_CASES] +
+    cases = ([(n, t, e, scan_bare_mutex) for n, t, e in BARE_MUTEX_CASES] +
              [(n, t, e, scan_kernel_state) for n, t, e in KERNEL_STATE_CASES])
     for name, snippet, expected, scan in cases:
         violations = []
@@ -374,14 +232,14 @@ def main(argv):
         pathlib.Path(__file__).resolve().parent.parent
     violations = []
     check_kernel_state(root, violations)
-    check_serve_lock_order(root, violations)
+    check_ranked_mutexes(root, violations)
     check_entry_points(root, violations)
     for v in violations:
         print(f"FAIL  {v}")
     if violations:
         print(f"\ncheck_invariants: {len(violations)} violation(s)")
         return 1
-    print("check_invariants: OK (kernel state, serve lock order, "
+    print("check_invariants: OK (kernel state, ranked mutexes, "
           "entry-point checks)")
     return 0
 

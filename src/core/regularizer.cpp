@@ -26,54 +26,52 @@ std::vector<float> gamma_slice_weights(index_t rf_max) {
 
 namespace {
 
-Tensor weighted_gamma_term(const PITConv1d& layer,
-                           const std::vector<float>& slice_weights) {
-  // Cin*Cout * sum_i w_i * |gamma_hat_i| for one layer, differentiable.
-  Tensor w = Tensor::from_vector(
-      slice_weights, Shape{static_cast<index_t>(slice_weights.size())});
-  Tensor term = sum(mul(abs_op(layer.gamma().values()), w));
-  const auto channel_product =
-      static_cast<float>(layer.in_channels() * layer.out_channels());
-  return mul_scalar(term, channel_product);
+// lambda * sum over the layers with trainable gammas of
+// Cin*Cout * sum_j scale[i] * w_j * |gamma_hat_j| (paper Eq. 6), where
+// w_j are the layer's slice weights. `who` names the caller in errors.
+Tensor scaled_gamma_cost(const std::vector<PITConv1d*>& layers, double lambda,
+                         const std::vector<float>& scale, const char* who) {
+  PIT_CHECK(lambda >= 0.0, who << ": lambda must be >= 0");
+  Tensor total = Tensor::scalar(0.0F);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const PITConv1d* layer = layers[i];
+    PIT_CHECK(layer != nullptr, who << ": null layer");
+    if (layer->gamma().num_trainable() == 0 || layer->gamma().frozen()) {
+      continue;
+    }
+    std::vector<float> weights = gamma_slice_weights(layer->rf_max());
+    for (float& w : weights) {
+      w *= scale[i];
+    }
+    Tensor w = Tensor::from_vector(
+        weights, Shape{static_cast<index_t>(weights.size())});
+    Tensor term = sum(mul(abs_op(layer->gamma().values()), w));
+    const auto channel_product =
+        static_cast<float>(layer->in_channels() * layer->out_channels());
+    total = add(total, mul_scalar(term, channel_product));
+  }
+  return mul_scalar(total, static_cast<float>(lambda));
 }
 
 }  // namespace
 
 Tensor size_regularizer(const std::vector<PITConv1d*>& layers, double lambda) {
-  PIT_CHECK(lambda >= 0.0, "size_regularizer: lambda must be >= 0");
-  Tensor total = Tensor::scalar(0.0F);
-  for (const PITConv1d* layer : layers) {
-    PIT_CHECK(layer != nullptr, "size_regularizer: null layer");
-    if (layer->gamma().num_trainable() == 0 || layer->gamma().frozen()) {
-      continue;
-    }
-    total = add(total, weighted_gamma_term(*layer,
-                                           gamma_slice_weights(layer->rf_max())));
-  }
-  return mul_scalar(total, static_cast<float>(lambda));
+  // Scale 1 leaves every slice weight bit-identical (w * 1.0f == w).
+  return scaled_gamma_cost(layers, lambda,
+                           std::vector<float>(layers.size(), 1.0F),
+                           "size_regularizer");
 }
 
 Tensor flops_regularizer(const std::vector<PITConv1d*>& layers, double lambda,
                          const std::vector<index_t>& t_out_per_layer) {
-  PIT_CHECK(lambda >= 0.0, "flops_regularizer: lambda must be >= 0");
   PIT_CHECK(t_out_per_layer.size() == layers.size(),
             "flops_regularizer: " << t_out_per_layer.size()
                                   << " t_out entries for " << layers.size()
                                   << " layers");
-  Tensor total = Tensor::scalar(0.0F);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const PITConv1d* layer = layers[i];
-    PIT_CHECK(layer != nullptr, "flops_regularizer: null layer");
-    if (layer->gamma().num_trainable() == 0 || layer->gamma().frozen()) {
-      continue;
-    }
-    auto weights = gamma_slice_weights(layer->rf_max());
-    for (float& w : weights) {
-      w *= static_cast<float>(t_out_per_layer[i]);
-    }
-    total = add(total, weighted_gamma_term(*layer, weights));
-  }
-  return mul_scalar(total, static_cast<float>(lambda));
+  return scaled_gamma_cost(
+      layers, lambda,
+      std::vector<float>(t_out_per_layer.begin(), t_out_per_layer.end()),
+      "flops_regularizer");
 }
 
 index_t total_effective_params(const std::vector<PITConv1d*>& layers) {

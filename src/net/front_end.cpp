@@ -74,7 +74,7 @@ FrontEnd::FrontEnd(serve::InferenceServer* server,
 FrontEnd::~FrontEnd() { stop(); }
 
 void FrontEnd::start() {
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
+  std::lock_guard lifecycle(lifecycle_mutex_);
   PIT_CHECK(!running_.load(), "FrontEnd::start: already running");
 
   if (server_ != nullptr) {
@@ -151,7 +151,7 @@ void FrontEnd::start() {
 }
 
 void FrontEnd::stop() {
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
+  std::lock_guard lifecycle(lifecycle_mutex_);
   if (!running_.load()) {
     return;
   }
@@ -161,7 +161,7 @@ void FrontEnd::stop() {
     // Wake the loop through the eventfd; the lock orders the write
     // against teardown (the loop closes the fd under this mutex only
     // after it exits, so the write can never hit a closed fd).
-    std::lock_guard<std::mutex> lock(completions_->completions_mutex);
+    std::lock_guard lock(completions_->completions_mutex);
     if (completions_->open) {
       const std::uint64_t tick = 1;
       (void)!::write(completions_->event_fd, &tick, sizeof(tick));
@@ -171,7 +171,7 @@ void FrontEnd::stop() {
     loop_thread_.join();
   }
   {
-    std::lock_guard<std::mutex> lock(completions_->completions_mutex);
+    std::lock_guard lock(completions_->completions_mutex);
     completions_->open = false;
     if (completions_->event_fd >= 0) {
       ::close(completions_->event_fd);
@@ -474,7 +474,7 @@ void FrontEnd::sweep_idle(std::chrono::steady_clock::time_point now) {
 void FrontEnd::drain_completions() {
   std::vector<Completion> ready;
   {
-    std::lock_guard<std::mutex> lock(completions_->completions_mutex);
+    std::lock_guard lock(completions_->completions_mutex);
     ready.swap(completions_->items);
   }
   for (Completion& done : ready) {
@@ -665,7 +665,7 @@ void FrontEnd::on_submit(Conn& conn, std::span<const std::uint8_t> payload) {
         } else {
           done.output = std::move(out);
         }
-        std::lock_guard<std::mutex> lock(cq->completions_mutex);
+        std::lock_guard lock(cq->completions_mutex);
         if (!cq->open) {
           cq->inflight.fetch_sub(1);  // front end is gone; drop
           return;

@@ -34,10 +34,9 @@
 // request has been answered and flushed (or drain_timeout passes).
 //
 // THREAD SAFETY. start()/stop()/stats()/port() are thread-safe. The
-// completion queue's mutex is the only lock in this subsystem; it is a
-// leaf (rank-last in scripts/check_invariants.py's lock order): the
-// server worker takes it holding no serve lock, the loop takes it
-// holding nothing.
+// subsystem has two locks, lifecycle_mutex_ (start()/stop()) and the
+// completion queue's completions_mutex; their ranks, first and a leaf,
+// are in runtime/lock_rank.hpp.
 //
 // LIFETIME. The FrontEnd borrows the InferenceServer and SessionManager
 // (either may be null — the corresponding protocol surface reports
@@ -58,6 +57,7 @@
 #include <vector>
 
 #include "net/protocol.hpp"
+#include "runtime/lock_rank.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/session_manager.hpp"
 
@@ -155,7 +155,7 @@ class FrontEnd {
   /// after that, late completions are dropped under the same lock that
   /// guards the eventfd, so a wakeup write can never hit a closed fd.
   struct CompletionQueue {
-    std::mutex completions_mutex;
+    runtime::RankedMutex<runtime::LockRank::kCompletions> completions_mutex;
     std::vector<Completion> items;
     int event_fd = -1;
     bool open = false;
@@ -201,7 +201,8 @@ class FrontEnd {
   std::atomic<bool> draining_{false};
   std::chrono::steady_clock::time_point drain_deadline_;
   std::shared_ptr<CompletionQueue> completions_;
-  std::mutex lifecycle_mutex_;  // serializes start()/stop()
+  // Serializes start()/stop().
+  runtime::RankedMutex<runtime::LockRank::kLifecycle> lifecycle_mutex_;
 
   // Loop-thread-only state.
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;

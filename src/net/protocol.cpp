@@ -102,22 +102,6 @@ bool is_fatal(ErrCode code) {
   }
 }
 
-std::string_view error_name(ErrCode code) {
-  switch (code) {
-    case ErrCode::kUnsupportedVersion: return "UNSUPPORTED_VERSION";
-    case ErrCode::kBadFrame: return "BAD_FRAME";
-    case ErrCode::kTooLarge: return "TOO_LARGE";
-    case ErrCode::kBadShape: return "BAD_SHAPE";
-    case ErrCode::kUnknownSession: return "UNKNOWN_SESSION";
-    case ErrCode::kSessionLimit: return "SESSION_LIMIT";
-    case ErrCode::kRetryAfter: return "RETRY_AFTER";
-    case ErrCode::kShuttingDown: return "SHUTTING_DOWN";
-    case ErrCode::kNotAvailable: return "NOT_AVAILABLE";
-    case ErrCode::kInternal: return "INTERNAL";
-  }
-  return "UNKNOWN";
-}
-
 std::string_view type_name(MsgType type) {
   switch (type) {
     case MsgType::kHello: return "HELLO";

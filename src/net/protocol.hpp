@@ -87,7 +87,6 @@ enum class ErrCode : std::uint16_t {
 
 /// True for codes after which the server closes the connection.
 bool is_fatal(ErrCode code);
-std::string_view error_name(ErrCode code);
 std::string_view type_name(MsgType type);
 
 // ---------------------------------------------------------------- messages

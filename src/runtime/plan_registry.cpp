@@ -27,7 +27,7 @@ struct ModelEntry {
   std::atomic<std::uint64_t> epoch{0};
   std::atomic<std::int64_t> inflight[2] = {};
   std::atomic<bool> draining{false};
-  std::mutex swap_mutex;  // serializes swap_active per model
+  RankedMutex<LockRank::kSwap> swap_mutex;  // serializes swap_active per model
 };
 
 }  // namespace registry_detail
@@ -70,7 +70,7 @@ void InflightTicket::release() {
 }
 
 ModelEntry* PlanRegistry::entry(const std::string& model) const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   const auto it = models_.find(model);
   PIT_CHECK(it != models_.end(),
             "PlanRegistry: unknown model '" << model << "'");
@@ -118,7 +118,7 @@ std::uint64_t PlanRegistry::register_version(const std::string& model,
                                              const CompileFn& compile) {
   const PlanKey key{fingerprint, shape_class, PlanDtype::kF32};
   {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
+    std::lock_guard lock(registry_mutex_);
     const auto it = memo_.find(key);
     if (it != memo_.end()) {
       ++stats_.compile_hits;
@@ -132,7 +132,7 @@ std::uint64_t PlanRegistry::register_version(const std::string& model,
   PIT_CHECK(plan != nullptr,
             "PlanRegistry::register_version('" << model
                                                << "'): compile returned null");
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   const auto [it, inserted] = memo_.try_emplace(key, std::move(plan));
   if (inserted) {
     ++stats_.compiles;
@@ -153,7 +153,7 @@ std::uint64_t PlanRegistry::register_plan(
   fp = hash_bytes(geom, sizeof(geom), fp);
   const std::string shape_class = "adapter";
   const PlanKey key{fp, shape_class, PlanDtype::kF32};
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   const auto [it, inserted] = memo_.try_emplace(key, std::move(plan));
   if (!inserted) {
     ++stats_.compile_hits;
@@ -167,7 +167,7 @@ std::shared_ptr<const CompiledPlan> PlanRegistry::quantized(
   ModelEntry* e = entry(model);
   std::shared_ptr<const CompiledPlan> src;
   {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
+    std::lock_guard lock(registry_mutex_);
     PIT_CHECK(version >= 1 && version <= e->versions.size(),
               "PlanRegistry::quantized('" << model << "'): version "
                                           << version << " of "
@@ -185,7 +185,7 @@ std::shared_ptr<const CompiledPlan> PlanRegistry::quantized(
   options.pool = &pool_;
   std::shared_ptr<const CompiledPlan> lowered =
       quantize_plan(*src, calibration, options);
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   VersionState& v = e->versions[version - 1];
   if (v.int8 != nullptr) {
     ++stats_.lowering_hits;  // a concurrent caller won the race
@@ -201,8 +201,8 @@ void PlanRegistry::swap_active(const std::string& model,
   ModelEntry* e = entry(model);
   // Per-model swap serialization first, then the registry lock: a ticket
   // release may notify under registry_mutex_ while this thread waits.
-  std::lock_guard<std::mutex> swap_lock(e->swap_mutex);
-  std::unique_lock<std::mutex> lock(registry_mutex_);
+  std::lock_guard swap_lock(e->swap_mutex);
+  std::lock_guard lock(registry_mutex_);
   PIT_CHECK(version >= 1 && version <= e->versions.size(),
             "PlanRegistry::swap_active('" << model << "'): version "
                                           << version << " of "
@@ -216,7 +216,7 @@ void PlanRegistry::swap_active(const std::string& model,
   // Flip: from here every acquire()/ticket() lands on the new parity.
   e->epoch.store(old_epoch + 1, std::memory_order_seq_cst);
   e->draining.store(true, std::memory_order_seq_cst);
-  drain_cv_.wait(lock, [&] {
+  registry_mutex_.wait(drain_cv_, [&] {
     return e->inflight[old_parity].load(std::memory_order_seq_cst) == 0;
   });
   e->draining.store(false, std::memory_order_seq_cst);
@@ -224,7 +224,7 @@ void PlanRegistry::swap_active(const std::string& model,
 }
 
 PlanLease PlanRegistry::acquire_entry(ModelEntry* e, PlanDtype dtype) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   PIT_CHECK(!e->versions.empty(), "PlanRegistry::acquire: model has no "
                                   "registered versions");
   const VersionState& v = e->versions[e->active];
@@ -275,25 +275,25 @@ void PlanRegistry::release_ticket(ModelEntry* e, unsigned parity) {
   if (left == 0 && e->draining.load(std::memory_order_seq_cst)) {
     // Take the registry lock so the notify cannot slip between a
     // draining swap's predicate check and its wait.
-    std::lock_guard<std::mutex> lock(registry_mutex_);
+    std::lock_guard lock(registry_mutex_);
     drain_cv_.notify_all();
   }
 }
 
 std::uint64_t PlanRegistry::active_version(const std::string& model) const {
   ModelEntry* e = entry(model);
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   return e->active + 1;
 }
 
 std::size_t PlanRegistry::num_versions(const std::string& model) const {
   ModelEntry* e = entry(model);
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   return e->versions.size();
 }
 
 bool PlanRegistry::has_model(const std::string& model) const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   return models_.count(model) > 0;
 }
 
@@ -304,7 +304,7 @@ PlanLease PlanRegistry::acquire(const std::string& model, PlanDtype dtype) {
 PlanRegistryStats PlanRegistry::stats() const {
   PlanRegistryStats out;
   {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
+    std::lock_guard lock(registry_mutex_);
     out = stats_;
   }
   out.pool = pool_.stats();
@@ -329,7 +329,7 @@ void PlanRegistry::account_memory_locked(
 
 ModelMemory PlanRegistry::memory(const std::string& model) const {
   ModelEntry* e = entry(model);
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   ModelMemory m;
   std::unordered_map<const void*, std::size_t> seen;
   account_memory_locked(*e, m, seen);
@@ -340,7 +340,7 @@ ModelMemory PlanRegistry::memory(const std::string& model) const {
 }
 
 ModelMemory PlanRegistry::memory() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard lock(registry_mutex_);
   ModelMemory m;
   std::unordered_map<const void*, std::size_t> seen;
   for (const auto& [name, e] : models_) {

@@ -34,11 +34,9 @@
 // variable — the idle-path cost of a ticket is two uncontended atomic
 // RMWs, no lock.
 //
-// LOCK ORDER (extends the serve chain; see scripts/check_invariants.py):
-// a ticket release may run under a serve slot mutex, so the registry's
-// locks rank strictly after serve's — swap_mutex (per entry, serializes
-// swaps of one model) before registry_mutex_ (map, memo, stats, version
-// lists). Registry methods never take serve locks.
+// Locks: swap_mutex (per entry, serializes swaps of one model) and
+// registry_mutex_ (map, memo, stats, version lists); their ranks are in
+// runtime/lock_rank.hpp.
 #pragma once
 
 #include <condition_variable>
@@ -53,6 +51,7 @@
 #include "data/dataloader.hpp"
 #include "nn/module.hpp"
 #include "runtime/compiled_net.hpp"
+#include "runtime/lock_rank.hpp"
 #include "runtime/quantize_plan.hpp"
 #include "runtime/shared_block.hpp"
 
@@ -266,7 +265,7 @@ class PlanRegistry : public std::enable_shared_from_this<PlanRegistry> {
       std::unordered_map<const void*, std::size_t>& seen);
 
   WeightPool pool_;
-  mutable std::mutex registry_mutex_;
+  mutable RankedMutex<LockRank::kRegistry> registry_mutex_;
   std::condition_variable drain_cv_;
   // unique_ptr values: ModelEntry addresses stay stable across rehashes
   // (PlanHandle caches them); entries are never erased.

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "runtime/lock_rank.hpp"
 #include "tensor/shape.hpp"
 
 namespace pit::runtime {
@@ -75,7 +76,7 @@ class WeightPool {
   }
 
   WeightPoolStats stats() const {
-    std::lock_guard<std::mutex> lock(pool_lock_);
+    std::lock_guard lock(pool_lock_);
     return stats_;
   }
 
@@ -88,7 +89,7 @@ class WeightPool {
                         std::vector<T>&& block) {
     const std::size_t bytes = block.size() * sizeof(T);
     const std::uint64_t key = hash_bytes(block.data(), bytes);
-    std::lock_guard<std::mutex> lock(pool_lock_);
+    std::lock_guard lock(pool_lock_);
     stats_.lookups += 1;
     stats_.bytes_requested += bytes;
     Bucket<T>& bucket = table[key];
@@ -112,7 +113,7 @@ class WeightPool {
     return fresh;
   }
 
-  mutable std::mutex pool_lock_;
+  mutable RankedMutex<LockRank::kWeightPool> pool_lock_;
   std::unordered_map<std::uint64_t, Bucket<float>> f32_;
   std::unordered_map<std::uint64_t, Bucket<std::int8_t>> i8_;
   WeightPoolStats stats_;

@@ -103,7 +103,7 @@ InferenceServer::Admission InferenceServer::enqueue(Tensor input,
   req.input = std::move(input);
   req.done = std::move(done);
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard lock(mutex_);
     if (stopping_) {
       return Admission::kStopping;
     }
@@ -129,8 +129,8 @@ void InferenceServer::worker_loop() {
     batch.clear();
     bool more_queued = false;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      std::lock_guard lock(mutex_);
+      mutex_.wait(cv_, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) {
         return;  // stopping and fully drained
       }
@@ -158,7 +158,7 @@ void InferenceServer::worker_loop() {
     const runtime::PlanLease lease = handle_.acquire();
     run_batch(batch, ctx, *lease);
     {
-      std::lock_guard<std::mutex> lock(mutex_);
+      std::lock_guard lock(mutex_);
       stats_.completed += batch.size();
     }
   }
@@ -211,7 +211,7 @@ void InferenceServer::shutdown() {
   // calls (or shutdown racing the destructor) join disjoint sets.
   std::vector<std::thread> claimed;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard lock(mutex_);
     stopping_ = true;
     claimed.swap(workers_);
   }
@@ -224,7 +224,7 @@ void InferenceServer::shutdown() {
 }
 
 ServerStats InferenceServer::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard lock(mutex_);
   return stats_;
 }
 

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "runtime/compiled_net.hpp"
+#include "runtime/lock_rank.hpp"
 #include "runtime/plan_registry.hpp"
 
 namespace pit::serve {
@@ -139,7 +140,7 @@ class InferenceServer {
   index_t out_channels_ = 0;
   index_t out_steps_ = 0;
 
-  mutable std::mutex mutex_;
+  mutable runtime::RankedMutex<runtime::LockRank::kServer> mutex_;
   std::condition_variable cv_;
   std::deque<Request> queue_;
   bool stopping_ = false;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "runtime/hardening.hpp"
+#include "runtime/lock_rank.hpp"
 #include "tensor/error.hpp"
 
 namespace pit::serve {
@@ -28,7 +29,7 @@ void os_free(void* p) noexcept {
 /// enter a free list and unpoisoned AFTER they leave it, so no thread
 /// ever poisons memory another thread already owns.
 struct SessionAllocator::Shard {
-  mutable std::mutex cache_mutex;
+  mutable runtime::RankedMutex<runtime::LockRank::kCache> cache_mutex;
   std::array<std::vector<void*>, kNumBuckets> free_lists;
   SessionAllocatorStats stats;
 };
@@ -107,7 +108,7 @@ void* SessionAllocator::allocate_in(Shard& shard, std::size_t bytes,
     // zeroed and still counted, so the leak accounting stays exact.
     void* p = os_allocate(bytes);
     std::memset(p, 0, bytes);
-    std::lock_guard<std::mutex> lock(shard.cache_mutex);
+    std::lock_guard lock(shard.cache_mutex);
     ++shard.stats.allocations;
     shard.stats.live_bytes += bytes;
     ++shard.stats.live_blocks;
@@ -117,7 +118,7 @@ void* SessionAllocator::allocate_in(Shard& shard, std::size_t bytes,
   const std::size_t rounded = bucket_bytes(cls);
   void* p = nullptr;
   {
-    std::lock_guard<std::mutex> lock(shard.cache_mutex);
+    std::lock_guard lock(shard.cache_mutex);
     ++shard.stats.allocations;
     std::vector<void*>& list = shard.free_lists[cls];
     if (!list.empty()) {
@@ -152,7 +153,7 @@ void SessionAllocator::deallocate_in(Shard& shard, void* p,
   }
   if (bytes > kMaxBucketBytes) {
     os_free(p);
-    std::lock_guard<std::mutex> lock(shard.cache_mutex);
+    std::lock_guard lock(shard.cache_mutex);
     ++shard.stats.releases;
     shard.stats.live_bytes -= bytes;
     --shard.stats.live_blocks;
@@ -166,7 +167,7 @@ void SessionAllocator::deallocate_in(Shard& shard, void* p,
   runtime::hardening::poison(p, rounded);
   std::vector<std::pair<void*, std::size_t>> spill;
   {
-    std::lock_guard<std::mutex> lock(shard.cache_mutex);
+    std::lock_guard lock(shard.cache_mutex);
     ++shard.stats.releases;
     shard.stats.live_bytes -= rounded;
     --shard.stats.live_blocks;
@@ -210,7 +211,7 @@ void SessionAllocator::trim(std::size_t target_bytes_per_shard) {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::vector<std::pair<void*, std::size_t>> spill;
     {
-      std::lock_guard<std::mutex> lock(shard->cache_mutex);
+      std::lock_guard lock(shard->cache_mutex);
       if (shard->stats.cached_bytes > target_bytes_per_shard) {
         collect_trim(*shard, target_bytes_per_shard, spill);
         ++shard->stats.trims;
@@ -227,14 +228,14 @@ SessionAllocatorStats SessionAllocator::shard_stats(std::size_t shard) const {
   PIT_CHECK(shard < shards_.size(),
             "SessionAllocator: shard " << shard << " out of range (have "
                                        << shards_.size() << ")");
-  std::lock_guard<std::mutex> lock(shards_[shard]->cache_mutex);
+  std::lock_guard lock(shards_[shard]->cache_mutex);
   return shards_[shard]->stats;
 }
 
 SessionAllocatorStats SessionAllocator::stats() const {
   SessionAllocatorStats out;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->cache_mutex);
+    std::lock_guard lock(shard->cache_mutex);
     const SessionAllocatorStats& s = shard->stats;
     out.allocations += s.allocations;
     out.cache_hits += s.cache_hits;

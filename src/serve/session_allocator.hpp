@@ -33,8 +33,7 @@
 //
 // Thread safety: all methods are safe from any thread; the per-shard
 // cache_mutex is the only lock and is never held across a user callback.
-// Lock order: it ranks AFTER slot->mutex (context growth during a step
-// allocates while the slot is locked) and takes nothing itself.
+// Its rank is LockRank::kCache (runtime/lock_rank.hpp).
 #pragma once
 
 #include <array>

@@ -63,7 +63,7 @@ SessionManager::SessionManager(
 
 SessionManager::~SessionManager() {
   {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
+    std::lock_guard lock(pool_mutex_);
     pool_stop_ = true;
   }
   pool_cv_.notify_all();
@@ -86,7 +86,7 @@ SessionManager::SessionId SessionManager::install_locked(
   // a stale step() that resolved this slot before its previous tenant
   // closed may be about to lock it and read the tenancy fields.
   {
-    std::lock_guard<std::mutex> slot_lock(slot->mutex);
+    std::lock_guard slot_lock(slot->mutex);
     slot->ctx.reset_stream();
     slot->plan = lease.plan();
     slot->version = lease.version();
@@ -113,7 +113,7 @@ SessionManager::SessionId SessionManager::open() {
   if (free_count_.load(std::memory_order_relaxed) > 0) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard& shard = *shards_[(start + i) & shard_mask_];
-      std::lock_guard<std::mutex> lock(shard.mutex);
+      std::lock_guard lock(shard.mutex);
       if (shard.free_list.empty()) {
         continue;
       }
@@ -132,7 +132,7 @@ SessionManager::SessionId SessionManager::open() {
     if (total_slots_.compare_exchange_weak(total, total + 1,
                                            std::memory_order_relaxed)) {
       Shard& shard = *shards_[start];
-      std::lock_guard<std::mutex> lock(shard.mutex);
+      std::lock_guard lock(shard.mutex);
       shard.slots.push_back(std::make_unique<Slot>(
           alloc_->shard_resource(shard.index), &shard));
       return install_locked(shard, shard.slots.size() - 1, lease, now);
@@ -159,7 +159,7 @@ SessionManager::SessionId SessionManager::open_via_eviction(
       candidates;
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard lock(shard.mutex);
     for (const auto& [id, idx] : shard.index_map) {
       const auto last =
           shard.slots[idx]->last_step.load(std::memory_order_relaxed);
@@ -176,7 +176,7 @@ SessionManager::SessionId SessionManager::open_via_eviction(
   std::sort(candidates.begin(), candidates.end());
   for (const auto& [stamp, victim] : candidates) {
     Shard& shard = shard_for(victim);
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard lock(shard.mutex);
     const auto it = shard.index_map.find(victim);
     if (it == shard.index_map.end()) {
       continue;  // closed or evicted since the scan
@@ -207,7 +207,7 @@ SessionManager::SessionId SessionManager::open_via_eviction(
 
 void SessionManager::close(SessionId id) {
   Shard& shard = shard_for(id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  std::lock_guard lock(shard.mutex);
   const auto it = shard.index_map.find(id);
   PIT_CHECK(it != shard.index_map.end(),
             "SessionManager::close: unknown session " << id);
@@ -215,7 +215,7 @@ void SessionManager::close(SessionId id) {
   Slot* slot = shard.slots[idx].get();
   // Waits out a concurrent step on this session (a caller-contract
   // violation, but it must not corrupt the slot's next tenant).
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
+  std::lock_guard slot_lock(slot->mutex);
   slot->id = 0;
   slot->plan.reset();  // a pooled slot must not pin a swapped-out version
   // A pooled slot holds no memory either: its rings and scratch go back
@@ -230,7 +230,7 @@ void SessionManager::close(SessionId id) {
 
 SessionManager::Slot* SessionManager::resolve(SessionId id) const {
   Shard& shard = shard_for(id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  std::lock_guard lock(shard.mutex);
   const auto it = shard.index_map.find(id);
   PIT_CHECK(it != shard.index_map.end(),
             "SessionManager: unknown session " << id);
@@ -239,7 +239,7 @@ SessionManager::Slot* SessionManager::resolve(SessionId id) const {
 
 void SessionManager::run_step(Slot* slot, SessionId id, const float* input,
                               float* output) {
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
+  std::lock_guard slot_lock(slot->mutex);
   // The slot may have been evicted (and possibly re-opened) between the
   // registry lookup and here; its current tenant must not be disturbed.
   PIT_CHECK(slot->id == id,
@@ -287,7 +287,7 @@ void SessionManager::work_on_tick() {
     std::size_t begin;
     std::size_t end;
     {
-      std::lock_guard<std::mutex> lock(pool_mutex_);
+      std::lock_guard lock(pool_mutex_);
       if (tick_next_ >= tick_count_) {
         return;
       }
@@ -313,7 +313,7 @@ void SessionManager::work_on_tick() {
     }
     bool last = false;
     {
-      std::lock_guard<std::mutex> lock(pool_mutex_);
+      std::lock_guard lock(pool_mutex_);
       if (error != nullptr && tick_error_ == nullptr) {
         tick_error_ = error;
       }
@@ -330,8 +330,8 @@ void SessionManager::worker_loop() {
   std::uint64_t seen_gen = 0;
   for (;;) {
     {
-      std::unique_lock<std::mutex> lock(pool_mutex_);
-      pool_cv_.wait(lock, [&] {
+      std::lock_guard lock(pool_mutex_);
+      pool_mutex_.wait(pool_cv_, [&] {
         return pool_stop_ || (tick_gen_ != seen_gen && tick_pending_ > 0);
       });
       if (pool_stop_) {
@@ -354,7 +354,7 @@ void SessionManager::step_tick(const SessionId* ids, std::size_t count,
   const runtime::InflightTicket ticket = handle_.ticket();
   // One tick at a time: concurrent tickers queue here rather than
   // interleaving their jobs through the pool.
-  std::lock_guard<std::mutex> tick_lock(tick_mutex_);
+  std::lock_guard tick_lock(tick_mutex_);
   tick_slots_.resize(count);
   tick_ids_.assign(ids, ids + count);
   // Resolve grouped by home shard: each shard is locked exactly once per
@@ -374,7 +374,7 @@ void SessionManager::step_tick(const SessionId* ids, std::size_t count,
       continue;
     }
     Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard lock(shard.mutex);
     for (const std::size_t pos : group) {
       const auto it = shard.index_map.find(tick_ids_[pos]);
       PIT_CHECK(it != shard.index_map.end(),
@@ -384,7 +384,7 @@ void SessionManager::step_tick(const SessionId* ids, std::size_t count,
     }
   }
   {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
+    std::lock_guard lock(pool_mutex_);
     ensure_pool_locked();
     tick_inputs_ = inputs;
     tick_outputs_ = outputs;
@@ -398,8 +398,8 @@ void SessionManager::step_tick(const SessionId* ids, std::size_t count,
   work_on_tick();  // the caller is a worker too
   std::exception_ptr error;
   {
-    std::unique_lock<std::mutex> lock(pool_mutex_);
-    done_cv_.wait(lock, [&] { return tick_pending_ == 0; });
+    std::lock_guard lock(pool_mutex_);
+    pool_mutex_.wait(done_cv_, [&] { return tick_pending_ == 0; });
     error = tick_error_;
   }
   ticks_.fetch_add(1, std::memory_order_relaxed);
@@ -423,7 +423,7 @@ Tensor SessionManager::step_tick(const std::vector<SessionId>& ids,
 
 void SessionManager::reset(SessionId id) {
   Slot* slot = resolve(id);
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
+  std::lock_guard slot_lock(slot->mutex);
   PIT_CHECK(slot->id == id,
             "SessionManager::reset: session " << id << " was evicted");
   slot->ctx.reset_stream();
@@ -437,7 +437,7 @@ std::size_t SessionManager::evict_idle(std::chrono::milliseconds min_idle) {
   // stalls steps on the rest of the fleet.
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard lock(shard.mutex);
     for (auto it = shard.index_map.begin(); it != shard.index_map.end();) {
       Slot* slot = shard.slots[it->second].get();
       if (slot->last_step.load(std::memory_order_relaxed) > deadline ||
@@ -468,12 +468,12 @@ std::size_t SessionManager::evict_idle(std::chrono::milliseconds min_idle) {
 void SessionManager::trim(std::size_t target_cached_bytes_per_shard) {
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard lock(shard.mutex);
     for (const std::size_t idx : shard.free_list) {
       Slot* slot = shard.slots[idx].get();
       // A pooled slot is normally uncontended; a stale step() racing a
       // close() may briefly hold the mutex, so wait rather than skip.
-      std::lock_guard<std::mutex> slot_lock(slot->mutex);
+      std::lock_guard slot_lock(slot->mutex);
       slot->ctx.release_buffers();
     }
   }
@@ -482,13 +482,13 @@ void SessionManager::trim(std::size_t target_cached_bytes_per_shard) {
 
 bool SessionManager::alive(SessionId id) const {
   Shard& shard = shard_for(id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  std::lock_guard lock(shard.mutex);
   return shard.index_map.count(id) > 0;
 }
 
 SessionStats SessionManager::session_stats(SessionId id) const {
   Slot* slot = resolve(id);
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
+  std::lock_guard slot_lock(slot->mutex);
   PIT_CHECK(slot->id == id,
             "SessionManager::session_stats: session " << id
                                                       << " was evicted");
@@ -501,7 +501,7 @@ SessionStats SessionManager::session_stats(SessionId id) const {
 
 std::uint64_t SessionManager::session_version(SessionId id) const {
   Slot* slot = resolve(id);
-  std::lock_guard<std::mutex> slot_lock(slot->mutex);
+  std::lock_guard slot_lock(slot->mutex);
   PIT_CHECK(slot->id == id,
             "SessionManager::session_version: session " << id
                                                         << " was evicted");
@@ -514,7 +514,7 @@ SessionManagerStats SessionManager::shard_stats(std::size_t shard_index) const {
                 << shard_index << " out of range (have " << shards_.size()
                 << ")");
   const Shard& shard = *shards_[shard_index];
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  std::lock_guard lock(shard.mutex);
   SessionManagerStats out;
   out.opened = shard.opened;
   out.closed = shard.closed;
@@ -531,7 +531,7 @@ SessionManagerStats SessionManager::stats() const {
   SessionManagerStats out;
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard lock(shard.mutex);
     out.opened += shard.opened;
     out.closed += shard.closed;
     out.evicted += shard.evicted;

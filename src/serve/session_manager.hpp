@@ -53,13 +53,12 @@
 // blocking — never one mid-step). A stale id (closed or evicted) throws
 // pit::Error; ids are never reused.
 //
-// Lock order (checked by scripts/check_invariants.py): tick_mutex_ ->
-// shard.mutex -> pool_mutex_ -> slot->mutex -> cache_mutex. last_step is
-// an atomic written under the slot mutex with relaxed order; shard scans
-// read it relaxed as an ADVISORY filter only — eviction re-reads it
-// after winning the slot's try_lock (the mutex acquire synchronizes with
-// the stepping thread's release), and that re-read is the authoritative
-// idleness decision.
+// Lock ranks: runtime/lock_rank.hpp, checked on every acquisition.
+// last_step is an atomic written under the slot mutex with relaxed
+// order; shard scans read it relaxed as an ADVISORY filter only —
+// eviction re-reads it after winning the slot's try_lock (the mutex
+// acquire synchronizes with the stepping thread's release), and that
+// re-read is the authoritative idleness decision.
 #pragma once
 
 #include <atomic>
@@ -73,6 +72,7 @@
 #include <vector>
 
 #include "runtime/compiled_net.hpp"
+#include "runtime/lock_rank.hpp"
 #include "runtime/plan_registry.hpp"
 #include "serve/session_allocator.hpp"
 #include "tensor/tensor.hpp"
@@ -219,14 +219,16 @@ class SessionManager {
     // read it relaxed as an advisory pre-filter and must re-read after
     // taking the slot mutex before acting on it (see the header doc).
     std::atomic<std::chrono::steady_clock::time_point> last_step;
-    std::mutex mutex;  // serializes ctx between step/tick/eviction
+    // Serializes ctx between step/tick/eviction.
+    runtime::RankedMutex<runtime::LockRank::kSlot> mutex;
   };
 
   /// One registry stripe: everything below is guarded by `mutex` except
   /// `steps`, which run_step bumps lock-free on the hot path.
   struct Shard {
     std::size_t index = 0;
-    mutable std::mutex mutex;  // map, slot storage, free list, counters
+    // Map, slot storage, free list, counters.
+    mutable runtime::RankedMutex<runtime::LockRank::kShard> mutex;
     std::unordered_map<SessionId, std::size_t> index_map;
     std::vector<std::unique_ptr<Slot>> slots;
     std::vector<std::size_t> free_list;
@@ -281,8 +283,10 @@ class SessionManager {
   // step_tick pool: one job at a time, guarded by tick_mutex_ (callers
   // serialize on it), handed to the workers through job fields + a
   // generation counter.
-  std::mutex tick_mutex_;            // at most one tick in flight
-  std::mutex pool_mutex_;            // job handoff + completion
+  // At most one tick in flight.
+  runtime::RankedMutex<runtime::LockRank::kTick> tick_mutex_;
+  // Job handoff + completion.
+  runtime::RankedMutex<runtime::LockRank::kPool> pool_mutex_;
   std::condition_variable pool_cv_;  // wakes workers on a new generation
   std::condition_variable done_cv_;  // wakes the caller on completion
   std::vector<std::thread> workers_;
