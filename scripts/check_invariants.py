@@ -27,12 +27,21 @@ the executors assume but no compiler enforces:
    they produce, plan_arena self-checks its assignment, and the
    executors PIT_CHECK their call contracts before touching the arena.
 
+4. one-training-step — every training batch in src/ runs through
+   core::train_epoch (core/trainer.cpp), the one zero-grad -> forward ->
+   loss -> backward -> update step behind PIT's three phases, plain
+   training and the ProxylessNAS weight pass. A `.backward()` call
+   anywhere else in src/ is a second copy of that step, which drifts from
+   the first. Exempt: tensor/gradcheck.cpp, which differentiates a
+   function against finite differences and trains nothing.
+
 Usage::
 
     check_invariants.py [repo_root]    # default: script's parent repo
     check_invariants.py --self-test    # prove the scanners catch bare
-                                       # mutexes and kernel-layer state
-                                       # (negative tests)
+                                       # mutexes, kernel-layer state and
+                                       # stray backward calls (negative
+                                       # tests)
 
 Exit 1 with a per-violation report when any rule is broken.
 """
@@ -157,6 +166,28 @@ def check_entry_points(root, violations):
                 f"contains {marker} — the entry-point guard was removed")
 
 
+# ---- rule 4: one training step ---------------------------------------------
+
+BACKWARD_CALL = re.compile(r"\.backward\s*\(")
+TRAINING_STEP_FILES = ("src/core/trainer.cpp", "src/tensor/gradcheck.cpp")
+
+
+def scan_backward_calls(text, relname, violations):
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if BACKWARD_CALL.search(line.split("//")[0]):
+            violations.append(
+                f"{relname}:{lineno}: one-training-step: backward() outside "
+                f"core::train_epoch — run the batch through the shared step "
+                f"(src/core/trainer.hpp): {line.strip()}")
+
+
+def check_one_training_step(root, violations):
+    for path in sorted((root / "src").rglob("*.[ch]pp")):
+        relname = path.relative_to(root)
+        if relname.as_posix() not in TRAINING_STEP_FILES:
+            scan_backward_calls(path.read_text(), relname, violations)
+
+
 # ---- self-test: prove the scanners actually catch bugs ---------------------
 
 # (name, snippet, expected number of violations) for the bare-mutex rule:
@@ -203,10 +234,30 @@ index_t twice(index_t g_count) { return g_count * 2; }
 ]
 
 
+# (name, snippet, expected number of violations) for the training-step
+# rule: a hand-written batch loop's backward call is flagged; the autograd
+# engine's node dispatch, backward kernels and comments pass.
+BACKWARD_CALL_CASES = [
+    ("a batch loop outside the shared step is flagged", """
+    model_.zero_grad();
+    Tensor objective = loss_(model_.forward(batch.inputs), batch.targets);
+    objective.backward();
+    weight_opt.step();
+""", 1),
+    ("autograd dispatch, backward kernels and comments pass", """
+    impl->grad_fn->backward(*impl);
+    blocked.backward_input(dy.data(), w.data(), dx.data(), d);
+    // objective.backward() runs inside core::train_epoch
+""", 0),
+]
+
+
 def self_test():
     failures = 0
     cases = ([(n, t, e, scan_bare_mutex) for n, t, e in BARE_MUTEX_CASES] +
-             [(n, t, e, scan_kernel_state) for n, t, e in KERNEL_STATE_CASES])
+             [(n, t, e, scan_kernel_state) for n, t, e in KERNEL_STATE_CASES] +
+             [(n, t, e, scan_backward_calls)
+              for n, t, e in BACKWARD_CALL_CASES])
     for name, snippet, expected, scan in cases:
         violations = []
         scan(snippet, "<self-test>", violations)
@@ -234,13 +285,14 @@ def main(argv):
     check_kernel_state(root, violations)
     check_ranked_mutexes(root, violations)
     check_entry_points(root, violations)
+    check_one_training_step(root, violations)
     for v in violations:
         print(f"FAIL  {v}")
     if violations:
         print(f"\ncheck_invariants: {len(violations)} violation(s)")
         return 1
     print("check_invariants: OK (kernel state, ranked mutexes, "
-          "entry-point checks)")
+          "entry-point checks, one training step)")
     return 0
 
 

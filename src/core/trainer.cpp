@@ -1,6 +1,5 @@
 #include "core/trainer.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <unordered_set>
 
@@ -12,53 +11,6 @@
 namespace pit::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// One optimization epoch; returns the average (possibly regularized)
-/// training loss. `gamma_opt` may be null (phases 1 and 3).
-double run_epoch(nn::Module& model, const LossFn& loss,
-                 data::DataLoader& train, nn::Optimizer& weight_opt,
-                 nn::Optimizer* gamma_opt,
-                 const std::vector<PITConv1d*>& pit_layers,
-                 const PitTrainerOptions& options,
-                 const std::vector<index_t>& t_out_per_layer,
-                 bool with_regularizer) {
-  model.train();
-  train.reshuffle();
-  double total = 0.0;
-  index_t examples = 0;
-  for (index_t b = 0; b < train.num_batches(); ++b) {
-    data::Batch batch = train.batch(b);
-    model.zero_grad();
-    Tensor pred = model.forward(batch.inputs);
-    Tensor task = loss(pred, batch.targets);
-    Tensor objective = task;
-    if (with_regularizer) {
-      Tensor reg = options.cost == CostKind::kSize
-                       ? size_regularizer(pit_layers, options.lambda)
-                       : flops_regularizer(pit_layers, options.lambda,
-                                           t_out_per_layer);
-      objective = add(task, reg);
-    }
-    objective.backward();
-    weight_opt.step();
-    if (gamma_opt != nullptr) {
-      gamma_opt->step();
-      for (PITConv1d* layer : pit_layers) {
-        layer->gamma().clamp_values();  // BinaryConnect housekeeping
-      }
-    }
-    const index_t n = batch.inputs.dim(0);
-    total += static_cast<double>(task.item()) * static_cast<double>(n);
-    examples += n;
-  }
-  return examples > 0 ? total / static_cast<double>(examples) : 0.0;
-}
 
 std::vector<index_t> current_dilations(
     const std::vector<PITConv1d*>& pit_layers) {
@@ -83,6 +35,31 @@ void log_epoch(const PitTrainerOptions& options, const EpochStats& stats) {
 }
 
 }  // namespace
+
+double train_epoch(nn::Module& model, const LossFn& loss,
+                   data::DataLoader& train, const std::function<void()>& update,
+                   const std::function<Tensor()>& extra,
+                   const std::function<void()>& before_batch) {
+  model.train();
+  train.reshuffle();
+  double total = 0.0;
+  index_t examples = 0;
+  for (index_t b = 0; b < train.num_batches(); ++b) {
+    if (before_batch) {
+      before_batch();
+    }
+    data::Batch batch = train.batch(b);
+    model.zero_grad();
+    Tensor task = loss(model.forward(batch.inputs), batch.targets);
+    Tensor objective = extra ? add(task, extra()) : task;
+    objective.backward();
+    update();
+    const index_t n = batch.inputs.dim(0);
+    total += static_cast<double>(task.item()) * static_cast<double>(n);
+    examples += n;
+  }
+  return examples > 0 ? total / static_cast<double>(examples) : 0.0;
+}
 
 double evaluate_loss(nn::Module& model, const LossFn& loss,
                      data::DataLoader& loader) {
@@ -153,6 +130,21 @@ PitTrainingResult PitTrainer::run(data::DataLoader& train,
   }
 
   nn::Adam weight_opt(weight_params, options_.lr_weights);
+  nn::Adam gamma_opt(gamma_params, options_.lr_gamma);
+  const std::function<void()> step_weights = [&] { weight_opt.step(); };
+  const std::function<void()> step_weights_and_gammas = [&] {
+    weight_opt.step();
+    gamma_opt.step();
+    for (PITConv1d* layer : pit_layers_) {
+      layer->gamma().clamp_values();  // BinaryConnect housekeeping
+    }
+  };
+  const std::function<Tensor()> regularizer = [&] {
+    return options_.cost == CostKind::kSize
+               ? size_regularizer(pit_layers_, options_.lambda)
+               : flops_regularizer(pit_layers_, options_.lambda,
+                                   t_out_per_layer_);
+  };
   int global_epoch = 0;
   auto record = [&](Phase phase, double train_loss, double val_loss) {
     EpochStats stats;
@@ -166,63 +158,59 @@ PitTrainingResult PitTrainer::run(data::DataLoader& train,
     result.history.push_back(std::move(stats));
   };
 
-  // ---- Phase 1: warmup (weights only, task loss only). -------------------
-  {
+  // Warmup trains the weights on the task loss for a fixed budget.
+  // Pruning trains weights and gammas on L_PIT, fine-tuning the weights
+  // alone with the binarized gammas frozen; both end once the validation
+  // loss stops improving.
+  struct PhaseBudget {
+    Phase phase;
+    int max_epochs;
+    double* seconds;
+  };
+  for (const PhaseBudget& p :
+       {PhaseBudget{Phase::kWarmup, options_.warmup_epochs,
+                    &result.warmup_seconds},
+        PhaseBudget{Phase::kPruning, options_.max_prune_epochs,
+                    &result.prune_seconds},
+        PhaseBudget{Phase::kFineTune, options_.finetune_epochs,
+                    &result.finetune_seconds}}) {
     const auto start = Clock::now();
-    for (int e = 0; e < options_.warmup_epochs; ++e) {
-      const double tl = run_epoch(model_, loss_, train, weight_opt, nullptr,
-                                  pit_layers_, options_, t_out_per_layer_,
-                                  /*with_regularizer=*/false);
-      record(Phase::kWarmup, tl, evaluate_loss(model_, loss_, val));
-    }
-    result.warmup_seconds = seconds_since(start);
-  }
-
-  // ---- Phase 2: concurrent weight + gamma updates with L_PIT. ------------
-  {
-    const auto start = Clock::now();
-    nn::Adam gamma_opt(gamma_params, options_.lr_gamma);
+    const bool pruning = p.phase == Phase::kPruning;
+    const bool finetune = p.phase == Phase::kFineTune;
     nn::EarlyStopping stopping(options_.patience);
-    for (int e = 0; e < options_.max_prune_epochs; ++e) {
-      const double tl = run_epoch(model_, loss_, train, weight_opt,
-                                  &gamma_opt, pit_layers_, options_,
-                                  t_out_per_layer_, /*with_regularizer=*/true);
+    if (finetune) {
+      for (PITConv1d* layer : pit_layers_) {
+        layer->freeze_gamma();
+      }
+      stopping.observe(evaluate_loss(model_, loss_, val), model_);
+    }
+    for (int e = 0; e < p.max_epochs; ++e) {
+      const double tl = train_epoch(
+          model_, loss_, train, pruning ? step_weights_and_gammas : step_weights,
+          pruning ? regularizer : nullptr);
       const double vl = evaluate_loss(model_, loss_, val);
-      record(Phase::kPruning, tl, vl);
-      stopping.observe(vl, model_);
+      record(p.phase, tl, vl);
+      if (p.phase == Phase::kWarmup) {
+        continue;
+      }
+      // Pruning keeps its converged state: restoring the best-validation
+      // snapshot would typically resurrect the un-pruned gammas of the
+      // first epochs, and the fine-tune recovers the accuracy lost to
+      // pruning (Algorithm 1). So it tracks the metric without snapshots.
+      if (finetune) {
+        stopping.observe(vl, model_);
+      } else {
+        stopping.observe(vl);
+      }
       if (stopping.should_stop()) {
         break;
       }
     }
-    // The converged (pruned) state is kept as-is: restoring the
-    // best-validation snapshot here would typically resurrect the
-    // un-pruned gammas from the first epochs. Accuracy lost to pruning is
-    // recovered by the fine-tuning phase, as in the paper's Algorithm 1.
-    result.prune_seconds = seconds_since(start);
-  }
-
-  // ---- Phase 3: freeze binarized gammas, fine-tune weights. --------------
-  {
-    const auto start = Clock::now();
-    for (PITConv1d* layer : pit_layers_) {
-      layer->freeze_gamma();
+    if (finetune) {
+      stopping.restore_best(model_);
+      result.val_loss = stopping.best_metric();
     }
-    nn::EarlyStopping stopping(options_.patience);
-    stopping.observe(evaluate_loss(model_, loss_, val), model_);
-    for (int e = 0; e < options_.finetune_epochs; ++e) {
-      const double tl = run_epoch(model_, loss_, train, weight_opt, nullptr,
-                                  pit_layers_, options_, t_out_per_layer_,
-                                  /*with_regularizer=*/false);
-      const double vl = evaluate_loss(model_, loss_, val);
-      record(Phase::kFineTune, tl, vl);
-      stopping.observe(vl, model_);
-      if (stopping.should_stop()) {
-        break;
-      }
-    }
-    stopping.restore_best(model_);
-    result.finetune_seconds = seconds_since(start);
-    result.val_loss = stopping.best_metric();
+    *p.seconds = seconds_since(start);
   }
 
   result.dilations = current_dilations(pit_layers_);
@@ -245,26 +233,13 @@ PlainTrainingResult train_supervised(nn::Module& model, const LossFn& loss,
   nn::Adam opt(std::move(params), options.lr);
   nn::EarlyStopping stopping(options.patience);
   PlainTrainingResult result;
+  const std::function<void()> step = [&] { opt.step(); };
   for (int e = 0; e < options.max_epochs; ++e) {
-    model.train();
-    train.reshuffle();
-    double total = 0.0;
-    index_t examples = 0;
-    for (index_t b = 0; b < train.num_batches(); ++b) {
-      data::Batch batch = train.batch(b);
-      model.zero_grad();
-      Tensor objective = loss(model.forward(batch.inputs), batch.targets);
-      objective.backward();
-      opt.step();
-      const index_t n = batch.inputs.dim(0);
-      total += static_cast<double>(objective.item()) * static_cast<double>(n);
-      examples += n;
-    }
+    const double tl = train_epoch(model, loss, train, step);
     const double vl = evaluate_loss(model, loss, val);
     ++result.epochs_run;
     if (options.verbose) {
-      std::printf("  [plain] epoch %3d  train %.4f  val %.4f\n", e,
-                  total / static_cast<double>(examples), vl);
+      std::printf("  [plain] epoch %3d  train %.4f  val %.4f\n", e, tl, vl);
     }
     stopping.observe(vl, model);
     if (stopping.should_stop()) {

@@ -8,6 +8,7 @@
 // is fine-tuned on the task loss alone with early stopping.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -21,6 +22,28 @@ namespace pit::core {
 
 /// Task loss: maps (prediction, target) to a scalar tensor.
 using LossFn = std::function<Tensor(const Tensor&, const Tensor&)>;
+
+/// The trainers' wall clock: phase and run timings.
+using Clock = std::chrono::steady_clock;
+
+inline double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// One training epoch: the step every trainer runs (PIT's three phases,
+/// plain training and the ProxylessNAS weight pass). Sets training mode and
+/// reshuffles `train`; then, per batch: `before_batch` (if set; ProxylessNAS
+/// samples a path there), zero the gradients, forward, `loss` — called
+/// exactly once per batch — plus `extra()` (if set; PIT's regularizer),
+/// backward, and `update` (the optimizer steps, plus whatever must follow
+/// them). Returns the batch-size-weighted mean task loss, without `extra`.
+///
+/// Opens no BufferRecycleScope: each trainer opens one for its whole run,
+/// so buffers are recycled across epochs and phases.
+double train_epoch(nn::Module& model, const LossFn& loss,
+                   data::DataLoader& train, const std::function<void()>& update,
+                   const std::function<Tensor()>& extra = nullptr,
+                   const std::function<void()>& before_batch = nullptr);
 
 enum class Phase { kWarmup, kPruning, kFineTune };
 

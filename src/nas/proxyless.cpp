@@ -1,6 +1,5 @@
 #include "nas/proxyless.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #include "nn/optim.hpp"
@@ -11,11 +10,8 @@ namespace pit::nas {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using core::Clock;
+using core::seconds_since;
 
 void sample_all(const std::vector<MixedConv1d*>& layers, RandomEngine& rng) {
   for (MixedConv1d* layer : layers) {
@@ -76,6 +72,10 @@ ProxylessResult ProxylessTrainer::run(data::DataLoader& train,
   const auto overall_start = Clock::now();
   RandomEngine path_rng(options_.sample_seed);
   nn::Adam weight_opt(model_.parameters(), options_.lr_weights);
+  const std::function<void()> step_weights = [&] { weight_opt.step(); };
+  const std::function<void()> sample_path = [&] {
+    sample_all(mixed_layers_, path_rng);
+  };
   const double size_norm = static_cast<double>(max_params(mixed_layers_));
 
   // ---- Search: single-path weight training + REINFORCE arch updates. -----
@@ -87,17 +87,10 @@ ProxylessResult ProxylessTrainer::run(data::DataLoader& train,
     std::vector<index_t> last_argmax;
     int stable_epochs = 0;
     for (int epoch = 0; epoch < options_.max_search_epochs; ++epoch) {
-      // Weight pass: sample a fresh path per batch and train only it.
-      model_.train();
-      train.reshuffle();
-      for (index_t b = 0; b < train.num_batches(); ++b) {
-        sample_all(mixed_layers_, path_rng);
-        data::Batch batch = train.batch(b);
-        model_.zero_grad();
-        Tensor objective = loss_(model_.forward(batch.inputs), batch.targets);
-        objective.backward();
-        weight_opt.step();  // untouched candidates have zero grads
-      }
+      // Weight pass: sample a fresh path per batch and train only it
+      // (untouched candidates have zero grads).
+      core::train_epoch(model_, loss_, train, step_weights, nullptr,
+                        sample_path);
       // Architecture pass after warmup: REINFORCE on sampled paths scored
       // by validation loss + size cost.
       if (epoch >= options_.warmup_epochs) {

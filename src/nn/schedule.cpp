@@ -12,22 +12,27 @@ EarlyStopping::EarlyStopping(int patience, double min_delta)
   PIT_CHECK(min_delta >= 0.0, "EarlyStopping: min_delta must be >= 0");
 }
 
-bool EarlyStopping::observe(double metric, const Module& model) {
+bool EarlyStopping::observe(double metric) {
   // NaN (a diverged validation loss) never compares below best_metric_, so
-  // it counts as a stale epoch — but the model must still be snapshotted on
-  // the first observation, or a run whose every epoch diverges would leave
-  // restore_best() with nothing to restore.
+  // it counts as a stale epoch.
   if (!std::isnan(metric) && metric < best_metric_ - min_delta_) {
     best_metric_ = metric;
     stale_epochs_ = 0;
-    best_state_ = model.state_snapshot();
     return true;
-  }
-  if (best_state_.empty()) {
-    best_state_ = model.state_snapshot();
   }
   ++stale_epochs_;
   return false;
+}
+
+bool EarlyStopping::observe(double metric, const Module& model) {
+  // The first observation snapshots even when it is stale (NaN), or a run
+  // whose every epoch diverges would leave restore_best() with nothing to
+  // restore.
+  const bool improved = observe(metric);
+  if (improved || best_state_.empty()) {
+    best_state_ = model.state_snapshot();
+  }
+  return improved;
 }
 
 void EarlyStopping::restore_best(Module& model) const {

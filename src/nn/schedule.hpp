@@ -16,8 +16,13 @@ class EarlyStopping {
  public:
   explicit EarlyStopping(int patience, double min_delta = 0.0);
 
-  /// Records one validation result; snapshots `model` if it improved.
-  /// Returns true if this was an improvement.
+  /// Records one validation result; returns true if it was an
+  /// improvement. Takes no snapshot, so restore_best() needs at least one
+  /// call of the two-argument form.
+  bool observe(double metric);
+
+  /// observe(metric), and snapshots `model` on an improvement and on the
+  /// first observation.
   bool observe(double metric, const Module& model);
 
   bool should_stop() const { return stale_epochs_ >= patience_; }

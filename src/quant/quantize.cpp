@@ -26,19 +26,6 @@ QuantParams calibrate_symmetric(std::span<const float> values) {
   return params;
 }
 
-QuantParams calibrate_affine(std::span<const float> values) {
-  if (values.empty()) {
-    return {};  // identity scale, zero point 0
-  }
-  float lo = values[0];
-  float hi = values[0];
-  for (const float v : values) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  return affine_from_range(lo, hi);
-}
-
 namespace {
 
 /// Shared affine calibration over a [lo, hi] range for a quantized
@@ -70,15 +57,6 @@ QuantParams affine_from_range(float lo, float hi) {
 
 QuantParams affine_u8_from_range(float lo, float hi) {
   return affine_from_range_impl(lo, hi, 0, 255);
-}
-
-std::uint8_t quantize_u8(float v, const QuantParams& params) {
-  // Same arithmetic as the runtime kernels' stores (multiply by the
-  // reciprocal, lrintf round-to-nearest-even) so this helper predicts the
-  // staged bytes, ties included.
-  const long q =
-      std::lrintf(v * (1.0F / params.scale)) + params.zero_point;
-  return static_cast<std::uint8_t>(std::clamp(q, 0L, 255L));
 }
 
 double max_roundtrip_error(std::span<const float> values,

@@ -38,10 +38,6 @@ struct QuantParams {
 /// scale 1; a tiny but non-zero range is clamped to kMinScale.
 QuantParams calibrate_symmetric(std::span<const float> values);
 
-/// Affine int8 parameters from the [min, max] range (activations).
-/// Degenerate inputs are guarded the same way as calibrate_symmetric.
-QuantParams calibrate_affine(std::span<const float> values);
-
 /// Affine int8 parameters from an explicit [lo, hi] range (e.g. a range
 /// accumulated by a RangeObserver over many calibration batches). The
 /// range is widened to include zero and clamped to kMinScale.
@@ -52,10 +48,6 @@ QuantParams affine_from_range(float lo, float hi);
 /// [0, 255]. This is the activation encoding of the quantized compiled
 /// runtime (unsigned activations feed the u8 x s8 dot-product kernels).
 QuantParams affine_u8_from_range(float lo, float hi);
-
-/// Quantizes to the u8 encoding of affine_u8_from_range: round-to-nearest
-/// of v/scale + zero_point, clamped to [0, 255].
-std::uint8_t quantize_u8(float v, const QuantParams& params);
 
 /// Worst-case absolute error of the round trip: <= scale/2 within range.
 double max_roundtrip_error(std::span<const float> values,

@@ -7,6 +7,7 @@
 
 #include "nn/schedule.hpp"
 #include "nn/linear.hpp"
+#include "tensor/error.hpp"
 #include "tensor/ops.hpp"
 
 namespace pit::nn {
@@ -199,6 +200,25 @@ TEST(EarlyStopping, RealImprovementAfterNanIsAnImprovement) {
   EXPECT_TRUE(es.observe(1.5, model));
   EXPECT_EQ(es.stale_epochs(), 0);
   EXPECT_DOUBLE_EQ(es.best_metric(), 1.5);
+}
+
+TEST(EarlyStopping, MetricOnlyObserveStopsOnTheSameEpochs) {
+  // PIT's pruning phase tracks its validation loss without snapshots; it
+  // must stop on exactly the epochs the snapshotting form would.
+  RandomEngine rng(227);
+  Linear model(2, 1, true, rng);
+  EarlyStopping with_model(3, 0.05);
+  EarlyStopping metric_only(3, 0.05);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double metric : {nan, 2.0, 1.98, 1.5, nan, 1.6, 1.2, 1.3, 1.4,
+                              1.19, 1.25}) {
+    EXPECT_EQ(metric_only.observe(metric), with_model.observe(metric, model));
+    EXPECT_EQ(metric_only.stale_epochs(), with_model.stale_epochs());
+    EXPECT_EQ(metric_only.should_stop(), with_model.should_stop());
+    EXPECT_DOUBLE_EQ(metric_only.best_metric(), with_model.best_metric());
+  }
+  EXPECT_TRUE(metric_only.should_stop());
+  EXPECT_THROW(metric_only.restore_best(model), Error);  // nothing kept
 }
 
 }  // namespace

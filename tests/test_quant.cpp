@@ -22,17 +22,26 @@ TEST(QuantParams, SymmetricCalibrationCoversRange) {
 }
 
 TEST(QuantParams, AffineCalibrationHandlesAsymmetricRange) {
-  std::vector<float> values = {0.0F, 1.0F, 4.0F};  // activations after ReLU
-  const QuantParams p = calibrate_affine(values);
+  const QuantParams p = affine_from_range(0.0F, 4.0F);  // after ReLU
   EXPECT_NEAR(p.dequantize(p.quantize(0.0F)), 0.0F, p.scale / 2);
   EXPECT_NEAR(p.dequantize(p.quantize(4.0F)), 4.0F, p.scale / 2);
   EXPECT_NEAR(p.dequantize(p.quantize(2.3F)), 2.3F, p.scale / 2);
+  // Values outside the calibrated range clamp to the int8 ends.
+  EXPECT_EQ(p.quantize(-100.0F), -128);
+  EXPECT_EQ(p.quantize(100.0F), 127);
 }
 
 TEST(QuantParams, ConstantTensorDoesNotDivideByZero) {
   std::vector<float> values = {0.0F, 0.0F};
   EXPECT_NO_THROW(calibrate_symmetric(values));
-  EXPECT_NO_THROW(calibrate_affine(values));
+  // An all-zero range has no width: the identity scale, with zero at the
+  // low end of the integer domain.
+  const QuantParams s8 = affine_from_range(0.0F, 0.0F);
+  EXPECT_FLOAT_EQ(s8.scale, 1.0F);
+  EXPECT_EQ(s8.zero_point, -128);
+  const QuantParams u8 = affine_u8_from_range(0.0F, 0.0F);
+  EXPECT_FLOAT_EQ(u8.scale, 1.0F);
+  EXPECT_EQ(u8.zero_point, 0);
 }
 
 TEST(QuantParams, DegenerateRangesClampToMinimumScale) {
@@ -42,33 +51,47 @@ TEST(QuantParams, DegenerateRangesClampToMinimumScale) {
   const QuantParams sym = calibrate_symmetric(denormal);
   EXPECT_GE(sym.scale, kMinScale);
   EXPECT_TRUE(std::isfinite(sym.scale));
-  const QuantParams aff = calibrate_affine(denormal);
+  const QuantParams aff = affine_from_range(1e-42F, 2e-42F);
   EXPECT_GE(aff.scale, kMinScale);
   EXPECT_TRUE(std::isfinite(aff.scale));
   EXPECT_GE(aff.zero_point, -128);
   EXPECT_LE(aff.zero_point, 127);
 
   EXPECT_NO_THROW(calibrate_symmetric(std::span<const float>{}));
-  EXPECT_NO_THROW(calibrate_affine(std::span<const float>{}));
   EXPECT_FLOAT_EQ(calibrate_symmetric(std::span<const float>{}).scale, 1.0F);
+  EXPECT_THROW(affine_from_range(1.0F, -1.0F), Error);
 
   // All-constant (non-zero) data stays usable and round-trips exactly.
-  const std::vector<float> constant = {2.5F, 2.5F, 2.5F};
-  const QuantParams c = calibrate_affine(constant);
+  const QuantParams c = affine_from_range(2.5F, 2.5F);
   EXPECT_TRUE(std::isfinite(c.scale));
   EXPECT_NEAR(c.dequantize(c.quantize(2.5F)), 2.5F, c.scale / 2 + 1e-6F);
 }
 
 TEST(QuantParams, AffineU8CoversRangeAndClampsDegenerates) {
+  // The runtime kernels' u8 store: multiply by the reciprocal scale,
+  // round to nearest even, add the zero point.
+  const auto stage = [](float v, const QuantParams& p) {
+    return std::lrintf(v * (1.0F / p.scale)) + p.zero_point;
+  };
   const QuantParams p = affine_u8_from_range(-1.0F, 3.0F);
   EXPECT_GE(p.zero_point, 0);
   EXPECT_LE(p.zero_point, 255);
   EXPECT_NEAR(p.scale, 4.0F / 255.0F, 1e-6F);
-  // Zero is exactly representable: q = zero_point.
-  EXPECT_EQ(quantize_u8(0.0F, p), p.zero_point);
-  EXPECT_EQ(quantize_u8(-100.0F, p), 0);    // clamps below the range
-  EXPECT_EQ(quantize_u8(100.0F, p), 255);   // clamps above the range
-  EXPECT_NEAR(p.dequantize(quantize_u8(2.3F, p)), 2.3F, p.scale / 2);
+  // Zero is exactly representable (q = zero_point) and the range ends
+  // land on the u8 ends.
+  EXPECT_EQ(stage(0.0F, p), p.zero_point);
+  EXPECT_EQ(p.dequantize(p.zero_point), 0.0F);
+  EXPECT_EQ(stage(-1.0F, p), 0);
+  EXPECT_EQ(stage(3.0F, p), 255);
+  EXPECT_NEAR(p.dequantize(static_cast<std::int32_t>(stage(2.3F, p))), 2.3F,
+              p.scale / 2);
+
+  // A range that excludes zero is widened to include it, so the zero
+  // point clamps to the domain's end.
+  EXPECT_EQ(affine_u8_from_range(1.0F, 3.0F).zero_point, 0);
+  EXPECT_EQ(affine_u8_from_range(-3.0F, -1.0F).zero_point, 255);
+  EXPECT_EQ(affine_from_range(1.0F, 3.0F).zero_point, -128);
+  EXPECT_EQ(affine_from_range(-3.0F, -1.0F).zero_point, 127);
 
   const QuantParams tiny = affine_u8_from_range(0.0F, 1e-40F);
   EXPECT_GE(tiny.scale, kMinScale);

@@ -1,4 +1,4 @@
-// Bit-exact references for the training step's non-conv loops.
+// Bit-exact references for the training step and its non-conv loops.
 //
 // BatchNorm1d, linear, the conv bias gradient, the masked conv's mask
 // gradient, avg_pool1d and Adam run several outputs' reduction
@@ -7,6 +7,11 @@
 // before, and requires the op to match it with memcmp — at 1, 2 and 4
 // OpenMP threads, on shapes below and above the parallel gate, with block
 // tails (counts that are not a multiple of kChainBlock) and signed zeros.
+//
+// core::train_epoch is the one batch loop behind PIT's three phases, plain
+// training and the ProxylessNAS weight pass. The *StepReference suites keep
+// the three loops it replaced and require one epoch of each to leave the
+// same trained state, gammas and loss as one epoch of the shared step.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -20,10 +25,17 @@
 #include <vector>
 
 #include "core/pit_conv1d.hpp"
+#include "core/regularizer.hpp"
+#include "core/trainer.hpp"
+#include "data/dataloader.hpp"
+#include "data/ppg_dalia.hpp"
+#include "models/temponet.hpp"
+#include "nas/supernet.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "nn/linear.hpp"
+#include "nn/losses.hpp"
 #include "nn/optim.hpp"
 #include "nn/pooling.hpp"
 #include "tensor/ops.hpp"
@@ -468,6 +480,259 @@ TEST(AdamReference, StepsMatchPlainLoop) {
       }
     });
   }
+}
+
+// ---- The training step --------------------------------------------------
+
+/// PitTrainer's batch loop before the shared step (size cost).
+double reference_pit_epoch(nn::Module& model, const core::LossFn& loss,
+                           data::DataLoader& train, nn::Optimizer& weight_opt,
+                           nn::Optimizer* gamma_opt,
+                           const std::vector<core::PITConv1d*>& pit_layers,
+                           double lambda, bool with_regularizer) {
+  model.train();
+  train.reshuffle();
+  double total = 0.0;
+  index_t examples = 0;
+  for (index_t b = 0; b < train.num_batches(); ++b) {
+    data::Batch batch = train.batch(b);
+    model.zero_grad();
+    Tensor pred = model.forward(batch.inputs);
+    Tensor task = loss(pred, batch.targets);
+    Tensor objective = task;
+    if (with_regularizer) {
+      Tensor reg = core::size_regularizer(pit_layers, lambda);
+      objective = add(task, reg);
+    }
+    objective.backward();
+    weight_opt.step();
+    if (gamma_opt != nullptr) {
+      gamma_opt->step();
+      for (core::PITConv1d* layer : pit_layers) {
+        layer->gamma().clamp_values();
+      }
+    }
+    const index_t n = batch.inputs.dim(0);
+    total += static_cast<double>(task.item()) * static_cast<double>(n);
+    examples += n;
+  }
+  return examples > 0 ? total / static_cast<double>(examples) : 0.0;
+}
+
+/// One epoch of train_supervised's batch loop before the shared step.
+double reference_plain_epoch(nn::Module& model, const core::LossFn& loss,
+                             data::DataLoader& train, nn::Optimizer& opt) {
+  model.train();
+  train.reshuffle();
+  double total = 0.0;
+  index_t examples = 0;
+  for (index_t b = 0; b < train.num_batches(); ++b) {
+    data::Batch batch = train.batch(b);
+    model.zero_grad();
+    Tensor objective = loss(model.forward(batch.inputs), batch.targets);
+    objective.backward();
+    opt.step();
+    const index_t n = batch.inputs.dim(0);
+    total += static_cast<double>(objective.item()) * static_cast<double>(n);
+    examples += n;
+  }
+  return total / static_cast<double>(examples);
+}
+
+/// ProxylessTrainer's weight pass before the shared step, plus the mean
+/// loss the shared step returns (reading it changes no state).
+double reference_proxyless_pass(nn::Module& model, const core::LossFn& loss,
+                                data::DataLoader& train, nn::Optimizer& opt,
+                                const std::vector<nas::MixedConv1d*>& layers,
+                                RandomEngine& path_rng) {
+  double total = 0.0;
+  index_t examples = 0;
+  model.train();
+  train.reshuffle();
+  for (index_t b = 0; b < train.num_batches(); ++b) {
+    for (nas::MixedConv1d* layer : layers) {
+      layer->sample_path(path_rng);
+    }
+    data::Batch batch = train.batch(b);
+    model.zero_grad();
+    Tensor objective = loss(model.forward(batch.inputs), batch.targets);
+    objective.backward();
+    opt.step();
+    const index_t n = batch.inputs.dim(0);
+    total += static_cast<double>(objective.item()) * static_cast<double>(n);
+    examples += n;
+  }
+  return total / static_cast<double>(examples);
+}
+
+/// Half-width TempoNet at batch 16 over 128-step windows (as in
+/// PitTrainer.BitIdenticalAtOneTwoAndFourThreads): every OpenMP loop of
+/// the step runs above its parallel gate. Two training batches.
+struct StepProblem {
+  data::PpgDaliaDataset ppg{{.num_windows = 32, .window_len = 128,
+                             .seed = 467}};
+  models::TempoNetConfig config = [] {
+    models::TempoNetConfig c;
+    c.channel_scale = 0.5;
+    c.input_length = 128;
+    return c;
+  }();
+  core::LossFn loss = [](const Tensor& p, const Tensor& t) {
+    return nn::mae_loss(p, t);
+  };
+
+  data::DataLoader loader() const { return {ppg, 16, true, 5}; }
+};
+
+struct Trained {
+  std::vector<Tensor> state;
+  std::vector<Floats> gammas;
+  double loss = 0.0;
+  index_t next_draw = 0;  // the path sampler's next draw (ProxylessNAS)
+};
+
+void expect_same(const Trained& want, const Trained& got, int threads) {
+  ASSERT_EQ(got.state.size(), want.state.size());
+  for (std::size_t i = 0; i < want.state.size(); ++i) {
+    EXPECT_TRUE(same_bits(got.state[i].span(), want.state[i].span()))
+        << "state tensor " << i << ", threads " << threads;
+  }
+  ASSERT_EQ(got.gammas.size(), want.gammas.size());
+  for (std::size_t i = 0; i < want.gammas.size(); ++i) {
+    EXPECT_TRUE(same_bits(got.gammas[i], want.gammas[i]))
+        << "gammas of layer " << i << ", threads " << threads;
+  }
+  EXPECT_TRUE(std::isfinite(want.loss));  // two NaNs could match bit for bit
+  EXPECT_EQ(std::memcmp(&got.loss, &want.loss, sizeof(double)), 0)
+      << got.loss << " vs " << want.loss << ", threads " << threads;
+  EXPECT_EQ(got.next_draw, want.next_draw) << "threads " << threads;
+}
+
+/// One PIT epoch: warmup/fine-tune (weights on the task loss) or, with
+/// `pruning`, weights and gammas on task loss + size regularizer.
+Trained pit_epoch(const StepProblem& problem, bool pruning, bool reference) {
+  const double lambda = 1e-4;
+  RandomEngine rng(479);
+  std::vector<core::PITConv1d*> layers;
+  models::TempoNet model(problem.config, core::pit_conv_factory(rng, layers),
+                         rng);
+  std::vector<Tensor> gamma_params;
+  for (core::PITConv1d* layer : layers) {
+    gamma_params.push_back(layer->gamma().values());
+  }
+  std::vector<Tensor> weight_params;
+  for (const Tensor& p : model.parameters()) {
+    bool is_gamma = false;
+    for (const Tensor& g : gamma_params) {
+      is_gamma = is_gamma || g.impl() == p.impl();
+    }
+    if (!is_gamma) {
+      weight_params.push_back(p);
+    }
+  }
+  nn::Adam weight_opt(weight_params, 1e-3);
+  nn::Adam gamma_opt(gamma_params, 1e-2);
+  data::DataLoader train = problem.loader();
+  Trained out;
+  if (reference) {
+    out.loss = reference_pit_epoch(model, problem.loss, train, weight_opt,
+                                   pruning ? &gamma_opt : nullptr, layers,
+                                   lambda, pruning);
+  } else if (pruning) {
+    out.loss = core::train_epoch(
+        model, problem.loss, train,
+        [&] {
+          weight_opt.step();
+          gamma_opt.step();
+          for (core::PITConv1d* layer : layers) {
+            layer->gamma().clamp_values();
+          }
+        },
+        [&] { return core::size_regularizer(layers, lambda); });
+  } else {
+    out.loss = core::train_epoch(model, problem.loss, train,
+                                 [&] { weight_opt.step(); });
+  }
+  out.state = model.state_snapshot();
+  for (const Tensor& g : gamma_params) {
+    out.gammas.emplace_back(g.span().begin(), g.span().end());
+  }
+  return out;
+}
+
+TEST(PitStepReference, TaskLossEpochMatchesFormerLoop) {
+  const StepProblem problem;
+  at_thread_counts([&](int threads) {
+    expect_same(pit_epoch(problem, false, true),
+                pit_epoch(problem, false, false), threads);
+  });
+}
+
+TEST(PitStepReference, RegularizedEpochWithGammaStepMatchesFormerLoop) {
+  const StepProblem problem;
+  at_thread_counts([&](int threads) {
+    const Trained want = pit_epoch(problem, true, true);
+    const Trained got = pit_epoch(problem, true, false);
+    expect_same(want, got, threads);
+    // The gamma step ran: gammas moved off their initial 1.
+    bool moved = false;
+    for (const Floats& g : want.gammas) {
+      for (const float v : g) {
+        moved = moved || v != 1.0F;
+      }
+    }
+    EXPECT_TRUE(moved);
+  });
+}
+
+TEST(PlainStepReference, EpochMatchesFormerLoop) {
+  const StepProblem problem;
+  const auto epoch = [&](bool reference) {
+    RandomEngine rng(6001);
+    models::TempoNet model(
+        problem.config,
+        models::dilated_conv_factory(rng, problem.config.dilations), rng);
+    nn::Adam opt(model.parameters(), 2e-3);
+    data::DataLoader train = problem.loader();
+    Trained out;
+    out.loss = reference
+                   ? reference_plain_epoch(model, problem.loss, train, opt)
+                   : core::train_epoch(model, problem.loss, train,
+                                       [&] { opt.step(); });
+    out.state = model.state_snapshot();
+    return out;
+  };
+  at_thread_counts(
+      [&](int threads) { expect_same(epoch(true), epoch(false), threads); });
+}
+
+TEST(ProxylessStepReference, WeightPassWithPathSamplingMatchesFormerLoop) {
+  const StepProblem problem;
+  const auto epoch = [&](bool reference) {
+    RandomEngine rng(7001);
+    std::vector<nas::MixedConv1d*> layers;
+    models::TempoNet model(problem.config, nas::mixed_conv_factory(rng, layers),
+                           rng);
+    nn::Adam opt(model.parameters(), 1e-3);
+    data::DataLoader train = problem.loader();
+    RandomEngine path_rng(7);
+    Trained out;
+    out.loss = reference
+                   ? reference_proxyless_pass(model, problem.loss, train, opt,
+                                              layers, path_rng)
+                   : core::train_epoch(
+                         model, problem.loss, train, [&] { opt.step(); },
+                         nullptr, [&] {
+                           for (nas::MixedConv1d* layer : layers) {
+                             layer->sample_path(path_rng);
+                           }
+                         });
+    out.state = model.state_snapshot();
+    out.next_draw = path_rng.randint(1 << 30);
+    return out;
+  };
+  at_thread_counts(
+      [&](int threads) { expect_same(epoch(true), epoch(false), threads); });
 }
 
 }  // namespace
